@@ -28,16 +28,24 @@ steady-state period proof consumed by :mod:`repro.analyze.schedule` and
 the worst-case occupancy bound consumed by :mod:`repro.analyze.occupancy`
 (run with ``bounded=False`` the FIFOs are treated as infinite and the
 per-stream high-water mark *is* the minimal stall-free depth).
+
+Interpretation is a pure function of the structure it reads, so
+:func:`interpret` memoises its runs process-wide under a structural
+fingerprint of the graph (see :func:`_fingerprint`); a hit returns the
+same :class:`InterpRun`, whose mappings are read-only views.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import Stage
+from repro.dataflow.stream import Stream
 from repro.errors import AnalyzeError
 from repro.lint.diagnostics import Severity
 
@@ -47,6 +55,17 @@ __all__ = ["StallWitness", "PeriodProof", "InterpRun", "interpret",
 #: Distinct control states kept for periodicity detection; mirrors the
 #: engine's ``_FF_TABLE_CAP`` rationale (bound memory on aperiodic runs).
 _TABLE_CAP: int = 65_536
+
+#: Interpretations kept by the process-wide memo, least recently used
+#: evicted first; bounds a long-lived server or a property-test run.
+_MEMO_CAP: int = 1024
+
+_MEMO: dict[tuple[Any, ...], InterpRun] = {}
+
+
+def _freeze(obj: Any, name: str) -> None:
+    """Replace field ``name`` of frozen ``obj`` with a read-only copy."""
+    object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
 
 
 @dataclass(frozen=True)
@@ -64,8 +83,12 @@ class StallWitness:
     kind: str
     cycle: int
     stuck_since: int
-    streams: dict[str, tuple[int, int]] = field(default_factory=dict)
-    blocked: dict[str, str] = field(default_factory=dict)
+    streams: Mapping[str, tuple[int, int]] = field(default_factory=dict)
+    blocked: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _freeze(self, "streams")
+        _freeze(self, "blocked")
 
     def describe(self) -> str:
         parts = [f"{self.kind} witness at cycle {self.cycle}"]
@@ -98,7 +121,10 @@ class PeriodProof:
 
     start_cycle: int
     cycles: int
-    fires: dict[str, int] = field(default_factory=dict)
+    fires: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _freeze(self, "fires")
 
     @property
     def tokens_per_period(self) -> int:
@@ -116,7 +142,11 @@ class PeriodProof:
 
 @dataclass(frozen=True)
 class InterpRun:
-    """Result of one abstract interpretation of a graph."""
+    """Result of one abstract interpretation of a graph.
+
+    Runs are shared by the memo, so every mapping field is a read-only
+    view (the nested per-stage ``stalls`` mappings too).
+    """
 
     graph_name: str
     tokens: int
@@ -124,19 +154,28 @@ class InterpRun:
     #: Total cycles to quiescence (or to the deadlock guard tripping).
     cycles: int
     deadlock: StallWitness | None
-    fires: dict[str, int] = field(default_factory=dict)
-    stalls: dict[str, dict[str, int]] = field(default_factory=dict)
-    stream_high_water: dict[str, int] = field(default_factory=dict)
+    fires: Mapping[str, int] = field(default_factory=dict)
+    stalls: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
+    stream_high_water: Mapping[str, int] = field(default_factory=dict)
     #: Producer blocks per stream (full-FIFO stalls), bounded runs only.
-    stream_full_stalls: dict[str, int] = field(default_factory=dict)
+    stream_full_stalls: Mapping[str, int] = field(default_factory=dict)
     #: First cycle each stage fired (None: never fired).
-    first_fire: dict[str, int | None] = field(default_factory=dict)
+    first_fire: Mapping[str, int | None] = field(default_factory=dict)
     period: PeriodProof | None = None
     #: First observed configuration where a producer blocked on a full
     #: FIFO and the FIFO stayed full through the end of the cycle.
     first_stall: StallWitness | None = None
     advances: int = 0
     advanced_cycles: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("fires", "stream_high_water", "stream_full_stalls",
+                     "first_fire"):
+            _freeze(self, name)
+        object.__setattr__(self, "stalls", MappingProxyType({
+            stage: MappingProxyType(dict(kinds))
+            for stage, kinds in self.stalls.items()
+        }))
 
     @property
     def safe(self) -> bool:
@@ -378,6 +417,11 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
         Silent cycles tolerated before declaring deadlock, mirroring
         ``DataflowEngine(stall_grace=...)``; the default is the engine's
         (``max ii + max latency + 1``).
+
+    Runs are memoised process-wide (at most :data:`_MEMO_CAP`, least
+    recently used evicted) under :func:`_fingerprint` and every keyword
+    above, so a repeated structure returns the same read-only run.  The
+    structural guard runs first: a graph that must raise never hits.
     """
     _structural_guard(graph)
     if tokens is None:
@@ -385,6 +429,47 @@ def interpret(graph: DataflowGraph, tokens: int | None = None, *,
     if tokens < 0:
         raise AnalyzeError(f"tokens must be >= 0, got {tokens}")
     order = graph.topological_order()
+    key = (_fingerprint(graph, order), tokens, bounded, accelerate,
+           stall_grace, max_cycles)
+    # pop + reinsert keeps the dict in least-recently-used order.
+    run = _MEMO.pop(key, None)
+    if run is None:
+        run = _run(graph, order, tokens, bounded, accelerate, stall_grace,
+                   max_cycles)
+    _MEMO[key] = run
+    if len(_MEMO) > _MEMO_CAP:
+        del _MEMO[next(iter(_MEMO))]
+    return run
+
+
+def _fingerprint(graph: DataflowGraph,
+                 order: list[Stage]) -> tuple[Any, ...]:
+    """Everything :func:`_run` reads of ``graph``, as a hashable key.
+
+    The graph name; the stages in ticking order with ``ii``, ``latency``
+    and every declared port mapped to its stream name (None when
+    unconnected); and the stream names and depths in ``graph.streams``
+    order, which fixes the order of the run's per-stream mappings.
+    """
+    def wiring(ports: tuple[str, ...],
+               bound: dict[str, Stream]) -> tuple[Any, ...]:
+        return tuple((port, bound[port].name if port in bound else None)
+                     for port in ports)
+
+    stages = tuple(
+        (stage.name, stage.ii, stage.latency,
+         wiring(stage.input_ports, stage.inputs),
+         wiring(stage.output_ports, stage.outputs))
+        for stage in order
+    )
+    streams = tuple((stream.name, stream.depth) for stream in graph.streams)
+    return graph.name, stages, streams
+
+
+def _run(graph: DataflowGraph, order: list[Stage], tokens: int,
+         bounded: bool, accelerate: bool, stall_grace: int | None,
+         max_cycles: int) -> InterpRun:
+    """One uncached interpretation (the body :func:`interpret` memoises)."""
     streams = {
         stream.name: _StreamState(stream.name,
                                   stream.depth if bounded else None)

@@ -13,6 +13,8 @@ calibration.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core.grid import Grid
 from repro.kernel.config import KernelConfig
 from repro.analyze.interp import interpret
@@ -26,21 +28,16 @@ def static_kernel_cycles(config: KernelConfig, *, read_ii: int = 1,
 
     Each chunk streams ``(nx + 2) * read_width * nz`` values through the
     pipeline and restarts it; chunks of equal width are control-identical,
-    so one abstract run per distinct width covers the whole plan.
+    so one abstract run per distinct width covers the whole plan, and
+    :func:`~repro.analyze.interp.interpret`'s memo shares that run across
+    calls (every design point of a tune with the same width and graph).
     """
     from repro.lint.builders import build_structural_graph
 
     grid = grid or config.grid
     config = config.for_grid(grid)
     graph = build_structural_graph(config, read_ii=read_ii)
-    plan = config.chunk_plan()
     feeds_per_width = (grid.nx + 2) * grid.nz
-    cache: dict[int, int] = {}
-    total = 0
-    for chunk in plan.chunks:
-        width = chunk.read_width
-        if width not in cache:
-            cache[width] = interpret(
-                graph, feeds_per_width * width).cycles
-        total += cache[width]
-    return total
+    widths = Counter(chunk.read_width for chunk in config.chunk_plan().chunks)
+    return sum(count * interpret(graph, feeds_per_width * width).cycles
+               for width, count in widths.items())

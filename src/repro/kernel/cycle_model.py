@@ -97,13 +97,9 @@ class KernelCycleModel:
         """Cycle count decomposition for ``grid`` (default: config grid)."""
         grid = grid or self.config.grid
         plan = self.config.for_grid(grid).chunk_plan()
-        nx_buf = grid.nx + 2
-        feeds_total = sum(
-            nx_buf * chunk.read_width * grid.nz for chunk in plan.chunks
-        )
         return CycleBreakdown(
             chunks=plan.num_chunks,
-            feeds_total=feeds_total,
+            feeds_total=(grid.nx + 2) * plan.total_read_cells * grid.nz,
             effective_ii=self.effective_ii,
             fill_per_chunk=self.pipeline_depth,
         )

@@ -14,6 +14,7 @@ data-set and a shorter kernel execution).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ChunkingError
 from repro.lint.diagnostics import Diagnostic, Location, Severity
@@ -27,6 +28,10 @@ HALO: int = 1
 #: degrading (short non-contiguous bursts); at or above, impact is
 #: negligible.  Used by the memory model, recorded here with the planner.
 MIN_EFFICIENT_CHUNK: int = 8
+
+#: Distinct plans :func:`plan_chunks` keeps (it is pure, and its plans
+#: are frozen, so a repeated geometry shares one plan).
+_PLAN_CACHE_CAP: int = 256
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,16 @@ class ChunkPlan:
 
     @property
     def total_read_cells(self) -> int:
-        """Cells streamed in across all chunks (counts the overlap twice)."""
-        return sum(c.read_width for c in self.chunks)
+        """Cells streamed in across all chunks (counts the overlap twice).
+
+        Closed form of the per-chunk ``read_width`` sum: every chunk
+        :func:`plan_chunks` builds reads its write slab plus ``halo``
+        cells each side, and :meth:`validate_coverage` proves the write
+        slabs tile the interior, so the sum is
+        ``interior + 2 * halo * num_chunks``.  A hand-built plan that
+        breaks either premise is outside this identity.
+        """
+        return self.interior + 2 * self.halo * len(self.chunks)
 
     @property
     def overlap_cells(self) -> int:
@@ -193,9 +206,14 @@ class ChunkPlan:
             raise ChunkingError("; ".join(d.message for d in errors))
 
 
+@lru_cache(maxsize=_PLAN_CACHE_CAP)
 def plan_chunks(interior: int, chunk_width: int, *,
                 halo: int = HALO) -> ChunkPlan:
     """Split an axis of ``interior`` cells into chunks of ``chunk_width``.
+
+    Memoised (the plan is a pure function of the three integers and is
+    frozen); invalid arguments raise every time, as errors are never
+    cached.
 
     Parameters
     ----------

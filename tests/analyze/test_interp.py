@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze import build_token_twin, default_tokens, interpret
+from repro.analyze import build_token_twin, default_tokens, interp, interpret
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import AnalyzeError
@@ -146,3 +146,39 @@ class TestGuards:
         assert data["cycles"] == run.cycles
         assert data["safe"] is True
         assert set(data["fires"]) == set(run.fires)
+
+
+class TestMemo:
+    def test_repeat_returns_the_shared_run(self):
+        graph = fork_join_graph(fast_depth=2, slow_latency=20)
+        assert interpret(graph, 50) is interpret(graph, 50)
+        assert interpret(graph, 50) is not interpret(graph, 51)
+
+    def test_mutating_a_returned_run_raises(self):
+        graph = fork_join_graph(fast_depth=2, slow_latency=20)
+        run = interpret(graph, 50)
+        before = run.to_dict()
+        with pytest.raises(TypeError):
+            run.fires["src"] = 0
+        with pytest.raises(TypeError):
+            run.stalls["join"]["input"] = 0
+        with pytest.raises(TypeError):
+            del run.stream_high_water["fork.a->join.a"]
+        with pytest.raises(TypeError):
+            run.period.fires["src"] = 0
+        with pytest.raises(TypeError):
+            run.first_stall.streams["fork.a->join.a"] = (0, 0)
+        assert interpret(graph, 50).to_dict() == before
+
+    def test_cap_evicts_the_least_recently_used_run(self):
+        graph = chain_graph(1, latency=1)
+        oldest = interpret(graph, 0)
+        kept = interpret(graph, 1)
+        for tokens in range(2, interp._MEMO_CAP + 1):
+            interpret(graph, tokens)
+            interpret(graph, 1)  # keep one early run recently used
+        assert len(interp._MEMO) == interp._MEMO_CAP
+        assert interpret(graph, 1) is kept
+        again = interpret(graph, 0)
+        assert again is not oldest
+        assert again == oldest

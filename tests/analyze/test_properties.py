@@ -7,12 +7,14 @@ The analyzer's total-cycle claim must equal the measured count exactly,
 and deadlock-safe graphs must complete within the engine's watchdog.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze import analyze_graph, build_token_twin, interpret
+from repro.analyze import analyze_graph, build_token_twin, interp, interpret
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.graph import DataflowGraph
+from repro.errors import AnalyzeError
 from repro.lint.spec import SpecStage
 
 
@@ -101,14 +103,70 @@ def test_minimal_depths_are_sufficient_and_token_independent(params, extra):
         assert (report.occupancy.minimal_depths()
                 == larger.occupancy.minimal_depths())
     # Rebuild the same graph with the proved minimal depths: stall-free.
+    rebuilt = rebuild(graph, report.occupancy.minimal_depths())
+    fixed = analyze_graph(rebuilt, tokens)
+    assert fixed.occupancy.stall_free
+
+
+def rebuild(graph, depths, *, dangling_input_on=None):
+    """A fresh copy of ``graph`` with stream depths from ``depths``.
+
+    ``dangling_input_on`` names a stage that also declares an input port
+    left unconnected (a structurally broken near-twin).
+    """
     rebuilt = DataflowGraph(graph.name)
     for stage in graph.stages:
-        rebuilt.add(SpecStage(stage.name, inputs=stage.input_ports,
+        extra = ("dangling",) if stage.name == dangling_input_on else ()
+        rebuilt.add(SpecStage(stage.name, inputs=stage.input_ports + extra,
                               outputs=stage.output_ports, ii=stage.ii,
                               latency=stage.latency))
-    depths = report.occupancy.minimal_depths()
     for conn in graph.connections():
         rebuilt.connect(conn.src.name, conn.src_port, conn.dst.name,
                         conn.dst_port, depth=depths[conn.stream.name])
-    fixed = analyze_graph(rebuilt, tokens)
-    assert fixed.occupancy.stall_free
+    return rebuilt
+
+
+def fresh_interpret(graph, tokens, **kwargs):
+    """An uncached interpretation (the memo emptied first)."""
+    interp._MEMO.clear()
+    return interpret(graph, tokens, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_dag(), st.booleans(), st.booleans())
+def test_memo_hit_equals_a_fresh_interpretation(params, bounded,
+                                                accelerate):
+    graph, tokens = params
+    kwargs = {"bounded": bounded, "accelerate": accelerate}
+    interpret(graph, tokens, **kwargs)
+    hit = interpret(graph, tokens, **kwargs)
+    fresh = fresh_interpret(graph, tokens, **kwargs)
+    assert fresh is not hit
+    assert fresh == hit
+    assert fresh.to_dict() == hit.to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_dag(), st.data())
+def test_memo_sees_a_depth_changed_in_place(params, data):
+    graph, tokens = params
+    stream = data.draw(st.sampled_from(graph.streams))
+    before = interpret(graph, tokens)
+    stream.depth = data.draw(
+        st.integers(1, 6).filter(lambda depth: depth != stream.depth))
+    after = interpret(graph, tokens)
+    assert after is not before
+    assert after == fresh_interpret(graph, tokens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_dag(), st.data())
+def test_memo_never_serves_a_broken_near_twin(params, data):
+    graph, tokens = params
+    interpret(graph, tokens)
+    victim = data.draw(st.sampled_from(
+        [stage.name for stage in graph.stages if stage.input_ports]))
+    depths = {stream.name: stream.depth for stream in graph.streams}
+    broken = rebuild(graph, depths, dangling_input_on=victim)
+    with pytest.raises(AnalyzeError, match="not analyzable"):
+        interpret(broken, tokens)

@@ -182,3 +182,32 @@ def test_property_plans_always_valid(interior, chunk_width):
         assert chunk.read_start == chunk.write_start - HALO
         assert chunk.read_stop == chunk.write_stop + HALO
     assert plan.redundancy >= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(halo=st.integers(1, 4), interior=st.integers(1, 400),
+       data=st.data())
+def test_property_closed_form_read_cells_equals_chunk_sum(halo, interior,
+                                                          data):
+    """total_read_cells' closed form matches the per-chunk sum, ragged
+    tails included (chunk widths need not divide the interior)."""
+    chunk_width = data.draw(st.integers(halo + 1, 96))
+    plan = plan_chunks(interior, chunk_width, halo=halo)
+    assert plan.total_read_cells == sum(c.read_width for c in plan.chunks)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((0, 4), {}), ((-3, 4), {}), ((4, 0), {}), ((6, 1), {}),
+    ((16, 2), {"halo": 2}), ((16, 4), {"halo": 0}),
+])
+def test_invalid_plans_raise_after_valid_ones_were_cached(args, kwargs):
+    for interior, chunk_width, halo in ((16, 4, 1), (16, 4, 2), (6, 2, 1)):
+        plan_chunks(interior, chunk_width, halo=halo)
+    # Errors are never memoised: a repeat raises again.
+    for _ in range(2):
+        with pytest.raises(ChunkingError):
+            plan_chunks(*args, **kwargs)
+
+
+def test_repeated_geometry_shares_one_plan():
+    assert plan_chunks(64, 16) is plan_chunks(64, 16)
