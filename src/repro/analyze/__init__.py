@@ -7,7 +7,7 @@ occupancy bounds, minimal stall-free depths and deadlock-freedom
 cycles, prime latency, steady-state period, total-cycle bounds
 (:mod:`repro.analyze.schedule`) — and bundles everything into one
 :class:`~repro.analyze.report.AnalysisReport` consumed by the SA lint
-rules, the ``repro analyze`` CLI, the fast engine mode and the tuner's
+rules, the ``repro analyze`` CLI, the batched engine and the tuner's
 cost model.  :mod:`repro.analyze.twin` builds the runnable token twin
 used to cross-check every claim against the exact engine.
 """

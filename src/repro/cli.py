@@ -8,17 +8,18 @@ Commands
     One end-to-end run on a device model, with a Gantt timeline.
 ``validate [--nx 6 --ny 9 --nz 5]``
     Cross-check every kernel execution path against the reference.
-``simulate [--nx 32 --ny 32 --nz 32] [--mode fast] [--kernels N]``
-    Cycle-accurate simulation of one kernel invocation; ``--mode fast``
-    fast-forwards steady-state phases (identical cycle counts and data).
+``simulate [--nx 32 --ny 32 --nz 32] [--no-batched] [--kernels N]``
+    Cycle-accurate simulation of one kernel invocation; steady-state
+    windows run batched unless ``--no-batched`` forces the per-cycle
+    scalar reference (identical cycle counts and data either way).
     ``--scenario NAME`` runs a registered workload-suite scenario
     (diffusion, buoyancy, grid/boundary/batch variants of advection)
     instead, with a bitwise reference check and the scenario's derived
     ops-per-cycle roofline.
 ``scenarios [names...] [--conformance] [--check-cli] [--json]``
     The workload suite: list the scenario registry, run the cross-mode
-    conformance harness (forced-scalar vs batched vs fast vs NumPy
-    reference, plus an injected-fault leg, lint and static-analysis
+    conformance harness (forced-scalar vs batched vs NumPy reference,
+    plus an injected-fault leg, lint and static-analysis
     coverage, per scenario), and verify every kernel reachable from the
     CLI is registered (non-zero exit on any failure).
 ``devices``
@@ -129,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--chunk-width", type=int, default=None)
     p_sim.add_argument("--read-ii", type=int, default=1,
                        help="read-stage initiation interval")
-    p_sim.add_argument("--mode", choices=("exact", "fast"), default="exact",
-                       help="'fast' fast-forwards steady-state phases "
-                            "(same results, far less wall time)")
     p_sim.add_argument("--no-batched", action="store_true",
                        help="disable batched exact execution (escape "
                             "hatch: force the pure per-cycle loop)")
@@ -154,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "registry)")
     p_scen.add_argument("--conformance", action="store_true",
                         help="run the cross-mode conformance harness "
-                             "(scalar/batched/fast/reference + fault "
-                             "leg + lint + static analysis)")
+                             "(scalar/batched/reference + fault leg + "
+                             "lint + static analysis)")
     p_scen.add_argument("--check-cli", action="store_true",
                         help="fail if any kernel reachable from the CLI "
                              "has no registered scenario")
@@ -291,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--ny", type=int, default=64)
     p_trace.add_argument("--nz", type=int, default=64)
     p_trace.add_argument("--chunk-width", type=int, default=None)
-    p_trace.add_argument("--mode", choices=("exact", "fast"),
-                         default="fast",
-                         help="engine mode (fast keeps 64^3 tractable; "
-                              "identical spans modulo fast-forward marks)")
     p_trace.add_argument("--device", default="u280",
                          help="device whose schedule and clock to trace "
                               "(u280 | stratix10)")
@@ -310,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--ny", type=int, default=64)
     p_metrics.add_argument("--nz", type=int, default=64)
     p_metrics.add_argument("--chunk-width", type=int, default=None)
-    p_metrics.add_argument("--mode", choices=("exact", "fast"),
-                          default="fast")
     p_metrics.add_argument("--clock-mhz", type=float, default=None,
                            help="also report achieved GFLOPS at this "
                                 "kernel clock")
@@ -354,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="open the float32/bfloat16 axis")
     p_tune.add_argument("--measure", type=int, default=0, metavar="K",
                         help="re-score the top K candidates with the "
-                             "fast-forward simulator")
+                             "batched exact simulator")
     p_tune.add_argument("--cache", default=None, metavar="PATH",
                         help="persistent JSON evaluation cache")
     p_tune.add_argument("--trace", default=None, metavar="PATH",
@@ -501,8 +493,7 @@ def _cmd_simulate_scenario(args) -> int:
         grid = scenario.default_grid()
 
     batched = not args.no_batched
-    result = scenario.run(grid, seed=args.seed, mode=args.mode,
-                          batched=batched)
+    result = scenario.run(grid, seed=args.seed, batched=batched)
     references = scenario.reference(grid, seed=args.seed)
     diff = max(out.max_abs_difference(ref)
                for out, ref in zip(result.batches, references))
@@ -517,13 +508,10 @@ def _cmd_simulate_scenario(args) -> int:
     print(f"scenario: {scenario.name} — {scenario.title}")
     print(f"grid:     {grid.interior_shape} "
           f"[{scenario.grids.name}], boundary={scenario.boundary}, "
-          f"wind={scenario.wind}, batch={scenario.batch}, "
-          f"mode={args.mode}")
+          f"wind={scenario.wind}, batch={scenario.batch}")
     print(f"cycles:   {result.total_cycles} "
           f"({result.cells_per_cycle:.3f} cells/cycle)")
     stats = result.stats
-    if stats.ff_veto_reason:
-        print(f"demoted:  {stats.ff_veto_reason}")
     if stats.batch_fallback_reason:
         print(f"fallback: {stats.batch_fallback_reason}")
     print(report.summary())
@@ -604,32 +592,24 @@ def _cmd_simulate(args) -> int:
     if args.kernels:
         multi = simulate_multi_kernel(
             config, fields, num_kernels=args.kernels,
-            memory_cells_per_cycle=args.memory_rate, mode=args.mode,
-            batched=batched)
+            memory_cells_per_cycle=args.memory_rate, batched=batched)
         elapsed = time.perf_counter() - start
-        print(f"grid:     {grid.interior_shape}, "
-              f"{args.kernels} kernels, mode={args.mode}")
+        print(f"grid:     {grid.interior_shape}, {args.kernels} kernels")
         print(f"cycles:   {multi.total_cycles} "
               f"(chunks: {multi.chunk_cycles})")
         print(f"memory:   {multi.arbiter.grants} grants, "
               f"{multi.arbiter.denials} denials "
               f"({multi.read_starvation_fraction:.1%} starved)")
-        if multi.ff_veto_reason:
-            print(f"demoted:  {multi.ff_veto_reason}")
+        if multi.batch_fallback_reason:
+            print(f"fallback: {multi.batch_fallback_reason}")
     else:
         result = simulate_kernel(config, fields, read_ii=args.read_ii,
-                                 mode=args.mode, batched=batched)
+                                 batched=batched)
         elapsed = time.perf_counter() - start
         stats = result.aggregate_stats()
-        print(f"grid:     {grid.interior_shape}, mode={args.mode}")
+        print(f"grid:     {grid.interior_shape}")
         print(f"cycles:   {result.total_cycles} "
               f"({result.cells_per_cycle:.3f} cells/cycle)")
-        if stats.ff_advances:
-            print(f"forward:  {stats.ff_cycles} cycles skipped in "
-                  f"{stats.ff_advances} analytic advances "
-                  f"({stats.ff_cycles / result.total_cycles:.1%} of the run)")
-        if stats.ff_veto_reason:
-            print(f"demoted:  {stats.ff_veto_reason}")
         if stats.batched_windows:
             scalar = result.total_cycles - stats.batched_cycles
             print(f"batched:  {stats.batched_cycles} cycles in "
@@ -1038,7 +1018,7 @@ def _cmd_trace(args) -> int:
     device = device_by_name(args.device)
 
     tracer = Tracer()
-    result = simulate_kernel(config, fields, mode=args.mode, tracer=tracer)
+    result = simulate_kernel(config, fields, tracer=tracer)
 
     session = AdvectionSession(device, config)
     run = session.run(grid, overlapped=not args.no_overlap)
@@ -1049,8 +1029,7 @@ def _cmd_trace(args) -> int:
         process_name=f"{args.device}-{grid.nx}x{grid.ny}x{grid.nz}",
         cycle_time_us=1.0 / clock_mhz)
     schedule_events = len(run.schedule.timeline) if run.schedule else 0
-    print(f"grid:     {grid.interior_shape}, mode={args.mode}, "
-          f"device={args.device}")
+    print(f"grid:     {grid.interior_shape}, device={args.device}")
     print(f"engine:   {result.total_cycles} cycles, "
           f"{len(tracer.spans)} spans on {len(tracer.tracks())} tracks")
     print(f"schedule: {schedule_events} transfer/compute events "
@@ -1074,15 +1053,13 @@ def _cmd_metrics(args) -> int:
               if args.chunk_width else KernelConfig(grid=grid))
 
     registry = MetricRegistry()
-    result = simulate_kernel(config, fields, mode=args.mode,
-                             metrics=registry)
+    result = simulate_kernel(config, fields, metrics=registry)
     report = ops_per_cycle_report(result.aggregate_stats(), nz=grid.nz,
                                   cycles=result.total_cycles)
 
     if args.json:
         payload = {
             "grid": list(grid.interior_shape),
-            "mode": args.mode,
             "ops_per_cycle": report.to_dict(),
             "metrics": registry.snapshot(),
         }
@@ -1091,7 +1068,7 @@ def _cmd_metrics(args) -> int:
                 report.achieved_gflops(args.clock_mhz), 3)
         print(json_module.dumps(payload, indent=2))
     else:
-        print(f"grid:     {grid.interior_shape}, mode={args.mode}")
+        print(f"grid:     {grid.interior_shape}")
         print(report.summary())
         if args.clock_mhz:
             print(f"at {args.clock_mhz:.0f} MHz: "

@@ -1,6 +1,6 @@
-"""Lazy bulk containers for the engine's fast-forward data path.
+"""Lazy bulk containers for the engine's batched-window data path.
 
-When the engine fast-forwards N periods of a steady-state machine
+When the engine batches N periods of a steady-state machine
 (:mod:`repro.dataflow.engine`), every stage processes thousands of items in
 one step.  Materialising each item as a Python object would forfeit most of
 the speedup, so batch data travels between stages as :class:`Bulk` objects:

@@ -345,7 +345,7 @@ def _cap_supply(order: list[Stage], fires_per_period: np.ndarray,
 def execute_window(order: list[Stage], streams: list[Stream],
                    stream_index: dict[str, int], sig_cycle: int,
                    period: int, snapshot: tuple[tuple, tuple], limit: int,
-                   calendar: EventCalendar | None = None) -> int:
+                   calendar: EventCalendar) -> int:
     """Plan and execute one batched window of whole periods.
 
     Returns the number of cycles skipped: ``> 0`` on a committed window,
@@ -363,12 +363,10 @@ def execute_window(order: list[Stage], streams: list[Stream],
     if len(order) == 0 or int(d_stage[:, 0].sum()) == 0:
         return 0
     n = (limit - sig_cycle - 1) // period
-    push_rates: Sequence[tuple[str, int]] = ()
-    if calendar is not None:
-        push_rates = calendar.push_rates(d_stream, stream_index)
-        n = calendar.cap_periods(sig_cycle, period, n, push_rates)
-        if n < 1:
-            return 0
+    push_rates = calendar.push_rates(d_stream, stream_index)
+    n = calendar.cap_periods(sig_cycle, period, n, push_rates)
+    if n < 1:
+        return 0
     n = _cap_supply(order, d_stage[:, 0], n)
     if n < 1:
         return -1
@@ -433,6 +431,5 @@ def execute_window(order: list[Stage], streams: list[Stream],
         stage.stats.output_stalls += int(ds[3]) * n
         stage.stats.ii_waits += int(ds[4]) * n
         stage.stats.pipeline_full_stalls += int(ds[5]) * n
-    if calendar is not None:
-        calendar.commit(n, push_rates)
+    calendar.commit(n, push_rates)
     return n * period

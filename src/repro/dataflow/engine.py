@@ -8,16 +8,17 @@ every pipeline drained, every stream empty — and reports cycle counts plus
 stall breakdowns, the numbers the paper uses to argue a design achieves
 II = 1.
 
-Fast-forward mode
------------------
-``mode="fast"`` adds steady-state fast-forwarding.  Every library stage's
-firing *counts* depend only on control state (pipeline fill, II timer,
-shift-buffer position), never on data values.  The engine therefore
-fingerprints the complete control state each cycle
-(:meth:`~repro.dataflow.stage.Stage.ff_signature` per stage plus every
-stream occupancy); when the same fingerprint recurs ``P`` cycles later the
-machine is provably periodic — a deterministic system revisiting a state
-replays it exactly — and ``N`` whole periods are advanced in one step:
+Batched exact execution
+-----------------------
+Every library stage's firing *counts* depend only on control state
+(pipeline fill, II timer, shift-buffer position), never on data values.
+With ``batched=True`` (the default) the engine compiles the graph
+(:mod:`repro.dataflow.compiled`) and fingerprints the complete control
+state each cycle (:meth:`~repro.dataflow.stage.Stage.ff_signature` per
+stage plus every stream occupancy).  When the same fingerprint recurs
+``P`` cycles later the machine is provably periodic — a deterministic
+system revisiting a state replays it exactly — and a window of ``N``
+whole periods is executed as one batched step:
 
 * counters (fires, retirements, stalls, pushes, pops) grow by ``N`` times
   their per-period delta, measured between the two matching cycles;
@@ -27,35 +28,27 @@ replays it exactly — and ``N`` whole periods are advanced in one step:
   semantics pin the few items left in streams and stage pipelines when
   per-cycle ticking resumes;
 * ``N`` is capped by every stage's remaining capacity
-  (:meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`), so the advance
-  stops exactly at boundary events — source exhaustion, chunk seams — and
-  the engine drops back to exact ticking for ramp-down.
+  (:meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`), so a window
+  stops exactly at boundary events — source exhaustion, chunk seams —
+  and the engine drops back to scalar ticking for ramp-down.
 
-Any stage whose output counts could depend on data values vetoes the whole
-mechanism by returning ``None`` from ``ff_signature`` (the arbitrated
-multi-kernel read stage does so the moment its arbiter has ever starved
-it), and attaching monitors or a fault plan disables fast-forward too:
-skipped cycles can be neither sampled nor faulted.  In all such cases
-``mode="fast"`` behaves exactly like ``mode="exact"`` and the reason for
-the demotion is surfaced on :attr:`RunStats.ff_veto_reason` (and by
-``repro simulate``) rather than being swallowed.
+Windows are *event-aware*: monitor sample cycles, fault freeze
+boundaries and previewed FIFO fault strikes bound each window and are
+always executed on the scalar path, so monitored and faulted runs
+accelerate too.  For unit-rate graphs the compiled graph carries a
+statically proven period (``period_hint``); the engine then arms a
+single probe at that horizon instead of hunting for a recurrence, and a
+wrong hint costs speed, never correctness.
 
-Batched exact mode
-------------------
-``mode="exact"`` no longer has to be the slow path.  With
-``batched=True`` (the default) the engine compiles the graph
-(:mod:`repro.dataflow.compiled`) and executes provably periodic windows
-of whole steady-state periods as single batched steps — the same
-periodicity proof and FIFO-exact bulk relay as fast-forward, but
-*event-aware* instead of all-or-nothing: monitor sample cycles, fault
-freeze boundaries and previewed FIFO fault strikes bound each window
-and are always executed on the scalar path, so monitored and faulted
-runs accelerate too instead of demoting wholesale.  Results are
-bit-identical to ``batched=False`` scalar ticking — statistics, stream
-occupancies, sink data, fault traces, and raised errors — with the
-batched/scalar split reported on :attr:`RunStats.batched_windows` /
-:attr:`RunStats.batched_cycles` and any mid-run fallback reason on
-:attr:`RunStats.batch_fallback_reason`.
+Results are bit-identical to ``batched=False`` scalar ticking —
+statistics, stream occupancies, sink data, fault traces, and raised
+errors — with the batched/scalar split reported on
+:attr:`RunStats.batched_windows` / :attr:`RunStats.batched_cycles`.
+Where batching cannot apply (an every-cycle monitor, a corrupted word
+left in flight, or a stage vetoing the fingerprint because its control
+is data-dependent, such as a starved arbiter) the run falls back to
+scalar ticking and the reason is recorded on
+:attr:`RunStats.batch_fallback_reason` rather than swallowed.
 """
 
 from __future__ import annotations
@@ -77,12 +70,12 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
 
 __all__ = ["DataflowEngine", "RunStats"]
 
-#: Fast-forward signature table cap: beyond this many distinct control
-#: states the run is clearly not periodic at a useful scale; the table is
-#: cleared to bound memory and detection re-arms from scratch.
+#: Signature table cap: beyond this many distinct control states the run
+#: is clearly not periodic at a useful scale; the table is cleared to
+#: bound memory and detection re-arms from scratch.
 _FF_TABLE_CAP = 65_536
 
-#: Consecutive probe misses before a batched-mode *learned* period is
+#: Consecutive probe misses before a *learned* period is
 #: dropped and table detection resumes (a statically proven period is
 #: never dropped — a wrong one only costs speed).
 _LEARNED_MISS_CAP = 8
@@ -99,15 +92,7 @@ class RunStats:
     stalls: dict[str, dict[str, int]] = field(default_factory=dict)
     #: stream name -> max occupancy observed
     stream_high_water: dict[str, int] = field(default_factory=dict)
-    #: number of analytic steady-state advances performed (fast mode)
-    ff_advances: int = 0
-    #: total cycles skipped by those advances (fast mode)
-    ff_cycles: int = 0
-    #: why a ``mode="fast"`` run was (partly) demoted to exact ticking:
-    #: a monitor, an active fault plan, or a data-dependent stage veto.
-    #: ``None`` for exact-mode runs and undemoted fast runs.
-    ff_veto_reason: str | None = None
-    #: number of batched windows committed (exact mode, ``batched=True``)
+    #: number of batched windows committed (``batched=True``)
     batched_windows: int = 0
     #: cycles executed inside those batched windows; the scalar-fallback
     #: remainder is ``cycles - batched_cycles``.
@@ -115,7 +100,7 @@ class RunStats:
     #: why batched exact execution was (partly) disabled mid-run: an
     #: every-cycle monitor, a corrupted word left in flight, or a
     #: data-dependent stage veto.  ``None`` when batching never had to
-    #: fall back (including fast-mode and ``batched=False`` runs).
+    #: fall back (including ``batched=False`` runs).
     batch_fallback_reason: str | None = None
 
     def throughput(self, stage: str) -> float:
@@ -131,14 +116,13 @@ class RunStats:
     def merge(cls, runs: Iterable["RunStats"]) -> "RunStats":
         """Aggregate several runs (e.g. per-chunk stats) into one summary.
 
-        Cycles, fires, stalls, and fast-forward counters add up; stream
+        Cycles, fires, stalls, and batched counters add up; stream
         high-water marks take the maximum, matching their meaning as a
-        sizing bound.  Distinct ``ff_veto_reason`` values are all kept
-        (joined with ``"; "`` in first-seen order) — different chunks can
-        demote for different causes and each deserves to surface.
+        sizing bound.  Distinct ``batch_fallback_reason`` values are all
+        kept (joined with ``"; "`` in first-seen order) — different chunks
+        can fall back for different causes and each deserves to surface.
         """
         merged = cls(cycles=0)
-        reasons: list[str] = []
         fallback_reasons: list[str] = []
         for run in runs:
             merged.cycles += run.cycles
@@ -151,17 +135,11 @@ class RunStats:
             for name, high in run.stream_high_water.items():
                 merged.stream_high_water[name] = max(
                     merged.stream_high_water.get(name, 0), high)
-            merged.ff_advances += run.ff_advances
-            merged.ff_cycles += run.ff_cycles
             merged.batched_windows += run.batched_windows
             merged.batched_cycles += run.batched_cycles
-            if run.ff_veto_reason is not None \
-                    and run.ff_veto_reason not in reasons:
-                reasons.append(run.ff_veto_reason)
             if run.batch_fallback_reason is not None \
                     and run.batch_fallback_reason not in fallback_reasons:
                 fallback_reasons.append(run.batch_fallback_reason)
-        merged.ff_veto_reason = "; ".join(reasons) if reasons else None
         merged.batch_fallback_reason = (
             "; ".join(fallback_reasons) if fallback_reasons else None)
         return merged
@@ -178,9 +156,6 @@ class RunStats:
                 name: self.stream_high_water[name]
                 for name in sorted(self.stream_high_water)
             },
-            "ff_advances": self.ff_advances,
-            "ff_cycles": self.ff_cycles,
-            "ff_veto_reason": self.ff_veto_reason,
             "batched_windows": self.batched_windows,
             "batched_cycles": self.batched_cycles,
             "batch_fallback_reason": self.batch_fallback_reason,
@@ -189,19 +164,12 @@ class RunStats:
     def summary(self) -> str:
         """Human-readable multi-line run summary."""
         lines = [f"cycles: {self.cycles}"]
-        if self.ff_advances:
-            lines[0] += (
-                f" ({self.ff_cycles} fast-forwarded in "
-                f"{self.ff_advances} advances)"
-            )
         if self.batched_windows:
             lines[0] += (
                 f" ({self.batched_cycles} batched in "
                 f"{self.batched_windows} windows, "
                 f"{self.cycles - self.batched_cycles} scalar)"
             )
-        if self.ff_veto_reason is not None:
-            lines.append(f"  fast-forward demoted: {self.ff_veto_reason}")
         if self.batch_fallback_reason is not None:
             lines.append(
                 f"  batched fallback: {self.batch_fallback_reason}")
@@ -229,21 +197,12 @@ class DataflowEngine:
     monitors:
         Optional probes sampled once per cycle (honouring each monitor's
         ``sample_every``/``sample_phase`` stride, when present).
-    mode:
-        ``"exact"`` ticks every cycle; ``"fast"`` additionally
-        fast-forwards provably periodic steady-state phases (see module
-        docstring).  Both modes produce identical :class:`RunStats`
-        (modulo the ``ff_*``/``batched_*`` counters) and identical sink
-        data.
     batched:
-        Exact mode only (ignored under ``mode="fast"``, whose
-        fast-forward machinery supersedes it): execute provably periodic
-        event-free windows as batched steps via
-        :mod:`repro.dataflow.compiled` (see module docstring).  On by
-        default; ``batched=False`` is the escape hatch back to pure
-        per-cycle scalar ticking.  Results are bit-identical either
-        way — only wall-clock time and the ``batched_*`` counters
-        change.
+        Execute provably periodic event-free windows as batched steps
+        via :mod:`repro.dataflow.compiled` (see module docstring).  On
+        by default; ``batched=False`` is the scalar reference: pure
+        per-cycle ticking.  Results are bit-identical either way — only
+        wall-clock time and the ``batched_*`` counters change.
     lint:
         When True, run the full graph-family lint pass
         (:func:`repro.lint.lint_graph`) before the first cycle and raise
@@ -261,28 +220,16 @@ class DataflowEngine:
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan`.  At run start the
         engine arms matching FIFO fault hooks and stage freeze windows;
-        an active plan demotes ``mode="fast"`` to exact ticking (skipped
-        cycles could not be faulted).
+        their strikes and boundaries bound batched windows.
     tracer:
         Optional :class:`~repro.observe.trace.Tracer`.  When enabled, the
         run emits one activity span per stage (first to last progressing
         cycle, with fire/stall counts attached), prime/steady phase spans
         for stages exposing ``first_emit_cycle`` (the shift buffer),
-        fast-forward advance spans, and demotion markers — all on the
-        engine's cycle clock.  Unlike monitors, a tracer does *not* veto
-        ``mode="fast"``: it records phase boundaries and aggregates that
-        analytic advances preserve exactly, never per-cycle samples.
-    proven_period:
-        A statically proven steady-state period (from
-        :mod:`repro.analyze`), only meaningful with ``mode="fast"``.  The
-        engine then skips the runtime recurrence hunt entirely: instead
-        of fingerprinting every cycle into a table, it arms a single
-        probe and compares the control state exactly ``proven_period``
-        cycles later, advancing on a match and re-arming on a miss (the
-        transient).  Every fast-forward safety interlock — data-dependent
-        stage vetoes, monitor/fault-plan demotion, capacity caps — still
-        applies, with the demotion reason surfaced as usual; a wrong
-        period can therefore cost speed but never correctness.
+        batched window spans, and fallback markers — all on the
+        engine's cycle clock.  Unlike monitors, a tracer never bounds a
+        batched window: it records phase boundaries and aggregates that
+        batched windows preserve exactly, never per-cycle samples.
     metrics:
         Optional :class:`~repro.observe.metrics.MetricRegistry`.  At the
         end of the run the engine feeds ``engine_cycles``,
@@ -294,49 +241,31 @@ class DataflowEngine:
 
     def __init__(self, graph: DataflowGraph, *, max_cycles: int = 10_000_000,
                  monitors: list[Monitor] | None = None,
-                 stall_grace: int | None = None, mode: str = "exact",
-                 batched: bool = True,
+                 stall_grace: int | None = None, batched: bool = True,
                  lint: bool = False, watchdog: int | None = None,
                  fault_plan: "FaultPlan | None" = None,
                  tracer: "Tracer | None" = None,
-                 metrics: "MetricRegistry | None" = None,
-                 proven_period: int | None = None) -> None:
+                 metrics: "MetricRegistry | None" = None) -> None:
         if max_cycles < 1:
             raise DataflowError(f"max_cycles must be >= 1, got {max_cycles}")
         if stall_grace is not None and stall_grace < 1:
             raise DataflowError(
                 f"stall_grace must be >= 1, got {stall_grace}"
             )
-        if mode not in ("exact", "fast"):
-            raise DataflowError(
-                f"mode must be 'exact' or 'fast', got {mode!r}"
-            )
         if watchdog is not None and watchdog < 1:
             raise DataflowError(
                 f"watchdog must be >= 1, got {watchdog}"
             )
-        if proven_period is not None:
-            if proven_period < 1:
-                raise DataflowError(
-                    f"proven_period must be >= 1, got {proven_period}"
-                )
-            if mode != "fast":
-                raise DataflowError(
-                    "proven_period requires mode='fast' (exact mode never "
-                    "fast-forwards)"
-                )
         self.graph = graph
         self.max_cycles = max_cycles
         self.monitors = list(monitors or [])
         self.stall_grace = stall_grace
-        self.mode = mode
         self.batched = batched
         self.lint = lint
         self.watchdog = watchdog
         self.fault_plan = fault_plan
         self.tracer = tracer
         self.metrics = metrics
-        self.proven_period = proven_period
 
     def run(self) -> RunStats:
         """Simulate until quiescence and return run statistics."""
@@ -378,25 +307,15 @@ class DataflowEngine:
             (m, getattr(m, "sample_every", 1), getattr(m, "sample_phase", 0))
             for m in self.monitors
         ]
-        # Fast-forward requires every cycle to be observable-equivalent;
-        # monitors sample individual cycles and fault plans strike them,
-        # so either forces exact ticking — with the reason surfaced.
-        veto_reason: str | None = None
-        if self.mode == "fast":
-            if self.monitors:
-                veto_reason = ("monitors attached: per-cycle sampling "
-                               "requires exact ticking")
-            elif plan_active:
-                veto_reason = ("fault injection active: skipped cycles "
-                               "could not be faulted")
-        ff_enabled = self.mode == "fast" and veto_reason is None
-        # Batched exact: the same periodicity machinery, re-armed for
-        # exact mode with event-aware windows (repro.dataflow.compiled).
-        # Monitors and fault plans bound windows instead of vetoing them;
+        # Batched windows are event-aware (repro.dataflow.compiled):
+        # monitors and fault plans bound windows instead of vetoing them;
         # only an every-cycle monitor leaves nothing to batch.
         batch_reason: str | None = None
-        batched = self.mode == "exact" and self.batched
+        batched = self.batched
         calendar: EventCalendar | None = None
+        # Statically proved steady-state horizon (unit-rate graphs only):
+        # probe at that period instead of table hunting.
+        proven: int | None = None
         if batched:
             for monitor, every, _phase in monitor_plan:
                 if every <= 1:
@@ -416,21 +335,15 @@ class DataflowEngine:
                 hooked=[stream.name for stream in self.graph.streams
                         if stream.fault_hook is not None],
             )
-        ff_table: dict[Any, tuple[int, tuple[dict, dict]]] = {}
-        proven = self.proven_period
-        if proven is None and batched:
-            # Statically proved steady-state horizon (unit-rate graphs
-            # only): probe at that period instead of table hunting.
             proven = compiled.period_hint
-        #: Armed probe under a proven period: (signature, cycle, snapshot).
+        ff_table: dict[Any, tuple[int, tuple[dict, dict]]] = {}
+        #: Armed probe under a known period: (signature, cycle, snapshot).
         probe: tuple[Any, int, tuple] | None = None
-        #: Batched-mode learned period: after the first table hit, probe
-        #: at the committed period so windows re-open immediately after
-        #: each scalar event cycle.  Dropped after repeated misses.
+        #: Learned period: after the first table hit, probe at the
+        #: committed period so windows re-open immediately after each
+        #: scalar event cycle.  Dropped after repeated misses.
         learned: int | None = None
         probe_misses = 0
-        ff_advances = 0
-        ff_cycles = 0
         batched_windows = 0
         batched_cycles = 0
         plan_trace_len = len(plan.trace) if plan is not None else 0
@@ -529,21 +442,16 @@ class DataflowEngine:
                     boundary_idx += 1
                 ff_table.clear()
                 probe = None
-            if ff_enabled or batched:
+            if batched:
                 sig, veto_stage = self._ff_machine_signature(order, cycle + 1)
                 if sig is None:
                     # A stage vetoed (data-dependent control, e.g. a
-                    # starved arbiter): exact ticking for the rest of
+                    # starved arbiter): scalar ticking for the rest of
                     # the run.
-                    reason = (
+                    batch_reason = (
                         f"stage {veto_stage!r} vetoed steady-state "
                         f"detection (data-dependent control)"
                     )
-                    if ff_enabled:
-                        veto_reason = reason
-                    else:
-                        batch_reason = reason
-                    ff_enabled = False
                     batched = False
                     ff_table.clear()
                     probe = None
@@ -584,28 +492,24 @@ class DataflowEngine:
                     period = (cycle + 1) - first_cycle
                     fires_before = ({s.name: s.stats.fires for s in order}
                                     if trace_on else None)
+                    assert calendar is not None
                     skipped = execute_window(
                         order, streams, stream_index, cycle + 1, period,
-                        snapshot, cap, calendar if batched else None)
+                        snapshot, cap, calendar)
                     if skipped > 0:
-                        if batched:
-                            batched_windows += 1
-                            batched_cycles += skipped
-                            # Probe at the committed period from now on:
-                            # windows re-open one period after each
-                            # scalar event cycle instead of re-hunting.
-                            learned = period
-                            probe_misses = 0
-                        else:
-                            ff_advances += 1
-                            ff_cycles += skipped
+                        batched_windows += 1
+                        batched_cycles += skipped
+                        # Probe at the committed period from now on:
+                        # windows re-open one period after each scalar
+                        # event cycle instead of re-hunting.
+                        learned = period
+                        probe_misses = 0
                         if trace_on:
                             assert fires_before is not None
-                            label = "batched" if batched else "fast-forward"
                             tracer.add_span(
-                                f"{label} x{skipped}", "engine",
+                                f"batched x{skipped}", "engine",
                                 cycle + 1, cycle + 1 + skipped,
-                                category=label,
+                                category="batched",
                                 period=period)
                             for stage in order:
                                 if stage.stats.fires \
@@ -625,7 +529,6 @@ class DataflowEngine:
                     elif skipped < 0:
                         # No room for even one period (sources at their
                         # end): the remaining run is short; tick it.
-                        ff_enabled = False
                         batched = False
                         ff_table.clear()
                         probe = None
@@ -674,9 +577,6 @@ class DataflowEngine:
             stream_high_water={
                 s.name: s.stats.max_occupancy for s in self.graph.streams
             },
-            ff_advances=ff_advances,
-            ff_cycles=ff_cycles,
-            ff_veto_reason=veto_reason,
             batched_windows=batched_windows,
             batched_cycles=batched_cycles,
             batch_fallback_reason=batch_reason,
@@ -697,15 +597,9 @@ class DataflowEngine:
         assert tracer is not None
         tracer.add_span(
             self.graph.name, "engine", 0, stats.cycles, category="run",
-            cycles=stats.cycles, ff_advances=stats.ff_advances,
-            ff_cycles=stats.ff_cycles,
+            cycles=stats.cycles,
             batched_windows=stats.batched_windows,
             batched_cycles=stats.batched_cycles)
-        if stats.ff_veto_reason is not None:
-            tracer.instant("fast-forward demoted", "engine",
-                           ts=float(veto_cycle if veto_cycle is not None
-                                    else 0),
-                           reason=stats.ff_veto_reason)
         if stats.batch_fallback_reason is not None:
             tracer.instant("batched execution fell back", "engine",
                            ts=float(veto_cycle if veto_cycle is not None
@@ -762,23 +656,13 @@ class DataflowEngine:
             "fifo_high_water", "max FIFO occupancy per stream")
         for name, high in stats.stream_high_water.items():
             high_water.set_max(high, stream=name)
-        registry.counter(
-            "ff_advances", "analytic steady-state advances",
-        ).inc(stats.ff_advances)
-        registry.counter(
-            "ff_cycles", "cycles skipped by fast-forward",
-        ).inc(stats.ff_cycles)
-        if stats.ff_veto_reason is not None:
-            registry.counter(
-                "ff_demotions", "fast-mode runs demoted to exact ticking",
-            ).inc(reason=stats.ff_veto_reason)
-        if self.mode == "exact" and self.batched:
+        if self.batched:
             registry.counter(
                 "batched_windows", "batched exact windows committed",
             ).inc(stats.batched_windows)
             registry.counter(
                 "scalar_fallback_cycles",
-                "exact-mode cycles ticked scalar outside batched windows",
+                "cycles ticked scalar outside batched windows",
             ).inc(stats.cycles - stats.batched_cycles)
             if stats.batch_fallback_reason is not None:
                 registry.counter(
@@ -786,7 +670,7 @@ class DataflowEngine:
                     "batched exact runs that fell back to scalar ticking",
                 ).inc(reason=stats.batch_fallback_reason)
 
-    # -- fast-forward internals -------------------------------------------------
+    # -- steady-state detection internals --------------------------------------
 
     def _ff_machine_signature(self, order: list[Stage], at_cycle: int
                               ) -> tuple[tuple | None, str | None]:

@@ -111,7 +111,7 @@ class Stage:
         self.stats = StageStats()
         # Entries are (ready_cycle, produced, shape) where shape is the
         # per-port item-count tuple, computed once at fire time so the
-        # fast-forward signature never re-derives it per cycle.
+        # steady-state signature never re-derives it per cycle.
         self._pipeline: deque[
             tuple[int, dict[str, list[Any]], tuple]
         ] = deque()
@@ -268,22 +268,22 @@ class Stage:
         progressed |= self._try_fire(cycle)
         return progressed
 
-    # -- fast-forward hooks (see DataflowEngine, mode="fast") -------------------
+    # -- steady-state hooks (see DataflowEngine, batched windows) ---------------
 
     def ff_signature(self, cycle: int) -> tuple | None:
         """Hashable summary of all *control* state, or None to veto.
 
-        The fast-forward engine detects steady state by finding two cycles
+        The batched engine detects steady state by finding two cycles
         with identical control state: pipeline fill (entry ages and output
         shapes), the II timer, and any subclass state that influences
         *when* or *how many* items the stage produces.  Data values must
-        not influence control for the analytic advance to be exact; a
-        stage whose output counts depend on input values must override
-        this to return ``None`` (vetoing fast-forward for the whole run).
+        not influence control for a batched window to be exact; a stage
+        whose output counts depend on input values must override this to
+        return ``None`` (vetoing batched windows for the whole run).
 
         Ready ages are clamped at zero: an overdue pipeline entry behaves
         identically however long it has been due.  This runs once per
-        simulated cycle in fast mode, so it leans on the shape tuples
+        simulated cycle in batched mode, so it leans on the shape tuples
         cached at fire time instead of re-deriving them.
         """
         pipe = tuple([
@@ -346,7 +346,7 @@ class Stage:
         """
         if len(tail_outputs) != len(self._pipeline):
             raise DataflowError(
-                f"stage {self.name!r}: fast-forward pipeline mismatch "
+                f"stage {self.name!r}: batched window pipeline mismatch "
                 f"({len(tail_outputs)} tail firings vs "
                 f"{len(self._pipeline)} entries)"
             )
@@ -355,7 +355,7 @@ class Stage:
                                                        tail_outputs):
             if tuple((p, len(v)) for p, v in produced.items()) != shape:
                 raise DataflowError(
-                    f"stage {self.name!r}: fast-forward entry shape changed "
+                    f"stage {self.name!r}: batched window entry shape changed "
                     f"(not a true steady state)"
                 )
             new_pipe.append(
@@ -434,7 +434,7 @@ class SourceStage(Stage):
         self._prefetch(count)
         if len(self._buffer) < count:
             raise DataflowError(
-                f"source {self.name!r}: fast-forward wants {count} items, "
+                f"source {self.name!r}: batched window wants {count} items, "
                 f"only {len(self._buffer)} remain"
             )
         items = [self._buffer.popleft() for _ in range(count)]
@@ -523,7 +523,7 @@ class ConstStage(Stage):
                   cycle: int) -> FireBulkResult:
         if count > self._remaining:
             raise DataflowError(
-                f"const {self.name!r}: fast-forward wants {count} firings, "
+                f"const {self.name!r}: batched window wants {count} firings, "
                 f"only {self._remaining} remain"
             )
         self._remaining -= count

@@ -65,8 +65,8 @@ class GeneralShiftBufferStage(Stage):
 
     #: Window emission depends on the buffer's fill position, which the
     #: base control-state fingerprint cannot see: veto steady-state
-    #: detection outright so neither fast-forward nor batched exact
-    #: execution can match a false period across priming states.
+    #: detection outright so batched execution can never match a false
+    #: period across priming states.
     unit_rate = False
 
     def ff_signature(self, at_cycle: int) -> None:
@@ -131,7 +131,7 @@ def run_stencil_kernel(block: np.ndarray, fn: WindowFn, out: np.ndarray, *,
                        radius: int = 1, stream_depth: int = 4,
                        tracker: MemoryPortTracker | None = None,
                        max_cycles: int = 10_000_000,
-                       mode: str = "exact", batched: bool = True,
+                       batched: bool = True,
                        fault_plan: "FaultPlan | None" = None,
                        watchdog: int | None = None,
                        tracer: "Tracer | None" = None,
@@ -149,14 +149,13 @@ def run_stencil_kernel(block: np.ndarray, fn: WindowFn, out: np.ndarray, *,
     out:
         Interior output array, shape ``(nx - 2r, ny - 2r, nz)`` in the
         x/y axes with the full z extent of ``block``.
-    mode, batched:
+    batched:
         Engine execution mode.  The shift-buffer and window-compute
         stages are data-dependent (``unit_rate = False``, no
-        ``ff_signature``), so ``mode="fast"`` always demotes to exact
-        ticking with a veto recorded on
-        :attr:`~repro.dataflow.engine.RunStats.ff_veto_reason`, and
-        batched exact execution falls back to the scalar loop — both by
-        design, both bit-identical to forced-scalar execution.
+        ``ff_signature``), so batched execution always falls back to
+        the scalar loop with the veto recorded on
+        :attr:`~repro.dataflow.engine.RunStats.batch_fallback_reason` —
+        by design, bit-identical to forced-scalar execution.
     fault_plan, watchdog, tracer, metrics:
         Passed straight to the :class:`~repro.dataflow.engine.
         DataflowEngine` (FIFO word faults, stage freezes, cycle
@@ -182,7 +181,6 @@ def run_stencil_kernel(block: np.ndarray, fn: WindowFn, out: np.ndarray, *,
     graph.connect("read", "out", shift, "in", depth=stream_depth)
     graph.connect(shift, "out", compute, "in", depth=stream_depth)
     graph.connect(compute, "out", write, "in", depth=stream_depth)
-    return DataflowEngine(graph, max_cycles=max_cycles, mode=mode,
-                          batched=batched, fault_plan=fault_plan,
+    return DataflowEngine(graph, max_cycles=max_cycles, batched=batched, fault_plan=fault_plan,
                           watchdog=watchdog, tracer=tracer,
                           metrics=metrics).run()

@@ -114,7 +114,7 @@ class ArbitratedReadStage(ReadDataStage):
     def ff_signature(self, cycle: int) -> tuple | None:
         # A starved arbiter makes firing data-rate-dependent in ways the
         # periodicity proof does not cover once denial history differs
-        # between kernels: veto fast-forward for the whole run the moment
+        # between kernels: veto batched windows for the whole run the moment
         # any request has ever been denied.  With ample credits the
         # accumulator is part of the control state (it decides *when*
         # grants are available), so it joins the signature exactly.
@@ -129,7 +129,7 @@ class ArbitratedReadStage(ReadDataStage):
                   retired: int, tail_outputs) -> None:
         super().ff_commit(old_cycle, new_cycle, fires=fires,
                           retired=retired, tail_outputs=tail_outputs)
-        # Every fast-forwarded firing would have won one grant.
+        # Every firing in a batched window would have won one grant.
         self.arbiter.grants += fires
 
 
@@ -148,8 +148,10 @@ class MultiKernelSimResult:
     rescheduled_chunks: int = 0
     #: chunk re-runs performed by the checkpoint/restart machinery.
     chunk_retries: int = 0
-    #: why fast mode demoted to exact ticking (None when it did not).
-    ff_veto_reason: str | None = None
+    #: why batched execution fell back to scalar ticking: distinct
+    #: per-run reasons joined with ``"; "`` as in :meth:`RunStats.merge`
+    #: (None when no run fell back).
+    batch_fallback_reason: str | None = None
 
     @property
     def read_starvation_fraction(self) -> float:
@@ -162,7 +164,6 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
                           num_kernels: int,
                           memory_cells_per_cycle: float | None = None,
                           max_cycles_per_chunk: int = 10_000_000,
-                          mode: str = "exact",
                           batched: bool = True,
                           fault_plan: "FaultPlan | None" = None,
                           retry: "RetryPolicy | None" = None,
@@ -180,14 +181,11 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         Shared memory's sustained issue rate in cell reads per cycle
         across all kernels.  ``None`` means one per kernel per cycle
         (no contention, the HBM2 regime).
-    mode:
-        Engine mode (``"exact"`` or ``"fast"``); fast-forward disables
-        itself automatically the moment the arbiter starves any read
-        stage, so a contended memory always simulates exactly.
     batched:
-        Exact mode only: batched steady-state execution (default on; the
-        same arbiter-starvation veto applies).  ``False`` forces the
-        per-cycle loop.
+        Batched steady-state execution (default on).  It falls back to
+        scalar ticking the moment the arbiter starves any read stage,
+        recording why on ``batch_fallback_reason``.  ``False`` forces
+        the per-cycle loop.
     fault_plan:
         Optional fault-injection plan.  ``replica`` faults are drawn at
         chunk seams: ``slow`` multiplies the replica's read II for that
@@ -263,7 +261,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
     quarantined: list[int] = []
     rescheduled_chunks = 0
     chunk_retries = 0
-    veto_reason: str | None = None
+    fallback_reasons: list[str] = []
     trace_on = tracer is not None and tracer.enabled
     # A heavily starved arbiter can stall every read stage for
     # ~kernels/rate cycles between grants; widen the engine's
@@ -286,7 +284,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
     def run_resilient(build: Callable[[], DataflowGraph],
                       check_parts: list[int], chunk) -> RunStats:
         """One engine run with chunk-seam checkpoint/retry semantics."""
-        nonlocal chunk_retries, veto_reason
+        nonlocal chunk_retries
         attempt = 0
         while True:
             checkpoint = (
@@ -296,7 +294,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
             graph = build()
             engine = DataflowEngine(
                 graph, max_cycles=max_cycles_per_chunk,
-                stall_grace=grace, mode=mode, batched=batched,
+                stall_grace=grace, batched=batched,
                 fault_plan=fault_plan, watchdog=watchdog,
                 tracer=tracer, metrics=metrics,
             )
@@ -342,8 +340,9 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
                         chunk=chunk.index, attempt=attempt,
                         error=str(error))
                 continue
-            if stats.ff_veto_reason is not None and veto_reason is None:
-                veto_reason = stats.ff_veto_reason
+            reason = stats.batch_fallback_reason
+            if reason is not None and reason not in fallback_reasons:
+                fallback_reasons.append(reason)
             return stats
 
     for chunk in chunk_plan.chunks:
@@ -439,5 +438,6 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
         quarantined=quarantined,
         rescheduled_chunks=rescheduled_chunks,
         chunk_retries=chunk_retries,
-        ff_veto_reason=veto_reason,
+        batch_fallback_reason=("; ".join(fallback_reasons)
+                               if fallback_reasons else None),
     )

@@ -77,7 +77,6 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                     coeffs: AdvectionCoefficients | None = None, *,
                     read_ii: int = 1, enforce_ports: bool = True,
                     max_cycles_per_chunk: int = 10_000_000,
-                    mode: str = "exact",
                     batched: bool = True,
                     fault_plan: "FaultPlan | None" = None,
                     retry: "RetryPolicy | None" = None,
@@ -100,16 +99,11 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     enforce_ports:
         Raise on any dual-port violation (the paper's partitioning claim
         is then checked on every simulated cycle).
-    mode:
-        ``"exact"`` ticks every cycle; ``"fast"`` fast-forwards periodic
-        steady-state phases analytically — same results, same cycle
-        counts, far less wall time on paper-scale grids (see
-        :mod:`repro.dataflow.engine`).
     batched:
-        Exact mode only: let the engine advance proved-safe steady-state
-        windows analytically while keeping every observable cycle scalar
-        (bit-identical stats, default on).  ``False`` forces the pure
-        per-cycle loop — the escape hatch and the benchmark baseline.
+        Let the engine advance proved-safe steady-state windows in bulk
+        while keeping every observable cycle scalar (bit-identical
+        stats, default on; see :mod:`repro.dataflow.engine`).  ``False``
+        forces the pure per-cycle loop — the scalar reference.
     fault_plan:
         Optional fault-injection plan, threaded into every chunk's engine
         run (FIFO word faults, stage freezes) and enabling the
@@ -181,8 +175,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                 tracker=tracker,
             )
             engine = DataflowEngine(
-                graph, max_cycles=max_cycles_per_chunk, mode=mode,
-                batched=batched, fault_plan=fault_plan, watchdog=watchdog,
+                graph, max_cycles=max_cycles_per_chunk, batched=batched, fault_plan=fault_plan, watchdog=watchdog,
                 tracer=tracer, metrics=metrics,
             )
             try:

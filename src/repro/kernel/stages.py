@@ -257,7 +257,7 @@ class ReadDataStage(SourceStage):
             return super().fire_bulk(count, inputs, cycle)
         if count > self._total - self._cursor:
             raise DataflowError(
-                f"read stage {self.name!r}: fast-forward wants {count} "
+                f"read stage {self.name!r}: batched window wants {count} "
                 f"cells, only {self._total - self._cursor} remain"
             )
         start = self._cursor
@@ -423,7 +423,7 @@ class ShiftBufferStage(Stage):
             return super().fire_bulk(count, inputs, cycle)
         if len(inputs.get("in", ())) != count:
             raise DataflowError(
-                f"shift stage {self.name!r}: fast-forward consumed "
+                f"shift stage {self.name!r}: batched window consumed "
                 f"{len(inputs.get('in', ()))} cells for {count} firings"
             )
         # The input run must be the block's own cells, in streaming
@@ -487,7 +487,7 @@ class ReplicateStage(Stage):
         bulk = inputs["in"]
         if len(bulk) != count:
             raise DataflowError(
-                f"replicate {self.name!r}: fast-forward consumed "
+                f"replicate {self.name!r}: batched window consumed "
                 f"{len(bulk)} bundles for {count} firings"
             )
         return UniformFireResult({"u": bulk, "v": bulk, "w": bulk})
@@ -545,7 +545,7 @@ class AdvectStage(Stage):
         bulk = inputs["in"]
         if len(bulk) != count:
             raise DataflowError(
-                f"advect {self.name!r}: fast-forward consumed "
+                f"advect {self.name!r}: batched window consumed "
                 f"{len(bulk)} bundles for {count} firings"
             )
         out_parts: list[Bulk] = []
@@ -604,7 +604,7 @@ class WriteDataStage(Stage):
             bulk = inputs[port]
             if len(bulk) != count:
                 raise DataflowError(
-                    f"write {self.name!r}: fast-forward consumed "
+                    f"write {self.name!r}: batched window consumed "
                     f"{len(bulk)} results on {port!r} for {count} firings"
                 )
             array = self._arrays[port]

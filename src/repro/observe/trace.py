@@ -52,7 +52,7 @@ class Span:
 
 @dataclass(frozen=True)
 class Instant:
-    """A zero-duration marker (a chunk seam, a fast-forward veto)."""
+    """A zero-duration marker (a chunk seam, a batched fallback)."""
 
     name: str
     track: str

@@ -1,17 +1,17 @@
 """Benchmark records for the simulator's own performance.
 
 The cycle-accurate engine is the instrument every reproduction number is
-read from, so its wall-clock speed is a first-class artefact: the
-fast-forward data path (``mode="fast"``) exists precisely to push
-cycle-accurate simulation to paper-scale grids.  This module defines the
-on-disk record format (``benchmarks/BENCH_dataflow.json``) the perf
-harness writes, so a later change that silently forfeits the speedup is
-caught by comparing records.
+read from, so its wall-clock speed is a first-class artefact: batched
+exact execution exists precisely to push cycle-accurate simulation to
+paper-scale grids.  This module defines the on-disk record format
+(``benchmarks/BENCH_dataflow.json``) the perf harness writes, so a later
+change that silently forfeits the speedup is caught by comparing
+records.
 
 Records capture wall time *and* the simulated work (cycles, cells), so
 derived rates stay comparable across machines running at different
-absolute speeds — a regression gate should compare *speedups* (fast over
-exact on the same host), which the hardware scales out of.
+absolute speeds — a regression gate should compare *speedups* (batched
+over forced-scalar on the same host), which the hardware scales out of.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ __all__ = ["BenchRecord", "BenchSuite", "load_suite", "speedup"]
 
 #: Format version of the JSON files; bump on incompatible change.
 #: v2: the dataflow suite's baseline became the forced-scalar exact run
-#: and the single ``speedup`` context key split into ``speedup_fast``
-#: and ``speedup_batched_exact``.
+#: and its speedup context key became ``speedup_batched_exact``.
 SCHEMA_VERSION = 2
 
 

@@ -203,17 +203,17 @@ class ScenarioKernel:
     kind: str = ""
     #: Per-cell operation model (drives derived ops/cycle and GFLOPS).
     op_model: OpModel
-    #: True when the steady-state fast-forward proof applies; kernels
-    #: built on data-dependent stages veto it (and the conformance
-    #: harness asserts that the veto actually fires).
-    fast_admissible: bool = False
+    #: True when the steady-state periodicity proof applies, so batched
+    #: windows actually run; kernels built on data-dependent stages veto
+    #: it (and the conformance harness asserts that the veto is
+    #: recorded as a batch fallback).
+    batch_admissible: bool = False
 
     def reference(self, fields: FieldSet) -> SourceSet:
         """The NumPy reference result for one field set."""
         raise NotImplementedError
 
-    def run(self, fields: FieldSet, *, mode: str = "exact",
-            batched: bool = True,
+    def run(self, fields: FieldSet, *, batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
             ) -> tuple[SourceSet, RunStats, int]:
         """One cycle-accurate kernel pass.
@@ -334,7 +334,7 @@ class Scenario:
     # -- execution -------------------------------------------------------------
 
     def run(self, grid: Grid | None = None, *, seed: int = 0,
-            mode: str = "exact", batched: bool = True,
+            batched: bool = True,
             fault_plan: "FaultPlan | None" = None) -> ScenarioResult:
         """Run every batch through the cycle-accurate engine."""
         if grid is None:
@@ -345,7 +345,7 @@ class Scenario:
         for index in range(self.batch):
             fields = self.make_fields(grid, seed=seed, batch_index=index)
             sources, stats, cycles = self.kernel.run(
-                fields, mode=mode, batched=batched, fault_plan=fault_plan)
+                fields, batched=batched, fault_plan=fault_plan)
             outputs.append(sources)
             all_stats.append(stats)
             total_cycles += cycles
@@ -407,7 +407,7 @@ class Scenario:
             "wind": self.wind,
             "batch": self.batch,
             "tags": list(self.tags),
-            "fast_admissible": self.kernel.fast_admissible,
+            "batch_admissible": self.kernel.batch_admissible,
             "op_model": self.kernel.op_model.to_dict(),
             "ops_per_cycle": self.ops_per_cycle,
             "grid_family": self.grids.to_dict(),

@@ -86,9 +86,9 @@ class AdvectionKernel(ScenarioKernel):
     kind = "advection"
     op_model = OpModel(63, 55)
     #: The Fig. 2 stages are unit-rate with closed-form signatures, so
-    #: the steady-state periodicity proof holds and fast mode actually
-    #: fast-forwards.
-    fast_admissible = True
+    #: the steady-state periodicity proof holds and batched windows
+    #: actually run.
+    batch_admissible = True
 
     def __init__(self, *, chunk_width: int | None = None) -> None:
         self._chunk_width = chunk_width
@@ -102,12 +102,11 @@ class AdvectionKernel(ScenarioKernel):
         coeffs = AdvectionCoefficients.uniform(fields.grid)
         return advect_reference(fields, coeffs)
 
-    def run(self, fields: FieldSet, *, mode: str = "exact",
-            batched: bool = True,
+    def run(self, fields: FieldSet, *, batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
             ) -> tuple[SourceSet, RunStats, int]:
         result = simulate_kernel(
-            self.config(fields.grid), fields, mode=mode, batched=batched,
+            self.config(fields.grid), fields, batched=batched,
             fault_plan=fault_plan)
         return result.sources, result.aggregate_stats(), result.total_cycles
 
@@ -138,12 +137,12 @@ class _StencilKernel(ScenarioKernel):
     ``run_stencil_kernel`` pass (the FPGA design would instantiate one
     pipeline per field); stats merge across the three runs.  Both
     stages of that machine are data-dependent (``unit_rate = False``,
-    no fast-forward signature), so fast mode and batched windows demote
-    to the scalar loop by design — the conformance harness asserts the
-    veto fires rather than pretending a speedup exists.
+    no steady-state signature), so batched windows fall back to the
+    scalar loop by design — the conformance harness asserts the fallback
+    is recorded rather than pretending a speedup exists.
     """
 
-    fast_admissible = False
+    batch_admissible = False
     #: Streams carry window bursts of up to three results (interior +
     #: both one-sided boundary cells at nz == 3).
     stream_depth = 4
@@ -151,8 +150,7 @@ class _StencilKernel(ScenarioKernel):
     def window_fn(self, grid: Grid) -> _WindowFn:
         raise NotImplementedError
 
-    def run(self, fields: FieldSet, *, mode: str = "exact",
-            batched: bool = True,
+    def run(self, fields: FieldSet, *, batched: bool = True,
             fault_plan: "FaultPlan | None" = None,
             ) -> tuple[SourceSet, RunStats, int]:
         grid = fields.grid
@@ -163,7 +161,7 @@ class _StencilKernel(ScenarioKernel):
         for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
             stats = run_stencil_kernel(
                 getattr(fields, name), fn, target,
-                stream_depth=self.stream_depth, mode=mode, batched=batched,
+                stream_depth=self.stream_depth, batched=batched,
                 fault_plan=fault_plan)
             all_stats.append(stats)
             total_cycles += stats.cycles

@@ -482,15 +482,14 @@ class FleetScheduler:
             scenario = get_scenario(record.spec.scenario)
             sources = scenario.kernel.reference(record.fields)
             if mode == "exact":
-                stats_cycles = scenario.kernel.run(
-                    record.fields, mode="exact")[2]
+                stats_cycles = scenario.kernel.run(record.fields)[2]
         else:
             config = serve_config(record.spec.grid())
             sources = execute_chunked(config, record.fields)
             if mode == "exact":
                 from repro.kernel.simulate import simulate_kernel
 
-                sim = simulate_kernel(config, record.fields, mode="exact")
+                sim = simulate_kernel(config, record.fields)
                 stats_cycles = sim.total_cycles
         checksum = checksum_sources(sources)
         self.cache.put(record.fingerprint, mode,

@@ -3,13 +3,11 @@
 The analytic tier prices a candidate with the closed-form
 :class:`~repro.kernel.cycle_model.KernelCycleModel`.  This tier replays
 the top-K candidates through the cycle-accurate engine's batched exact
-mode (``DataflowEngine(mode="exact", batched=True)`` under
-:func:`~repro.kernel.simulate.simulate_kernel`) and records the
-analytic-versus-measured cycle error, so a tuning report carries its own
-error bars — if a model change ever breaks the closed form, the tuner
-is the first place it shows.  Batched exact costs about the same wall
-time as the old fast mode on proxy grids but reports the bit-exact
-stall/stats profile, not just matching cycle counts.
+execution (:func:`~repro.kernel.simulate.simulate_kernel`) and records
+the analytic-versus-measured cycle error, so a tuning report carries
+its own error bars — if a model change ever breaks the closed form, the
+tuner is the first place it shows.  The measured profile is bit-exact:
+stalls and stats, not just matching cycle counts.
 
 Simulation cost scales with cells, so candidates are measured on a
 *proxy grid*: the tuned chunk geometry is preserved exactly (NY is never
@@ -87,7 +85,7 @@ def measure_one(evaluation: Evaluation, grid: Grid, *, seed: int,
     proxy = proxy_grid(grid, point)
     config = point.config(proxy)
     fields = random_wind(proxy, seed=seed)
-    result = simulate_kernel(config, fields, mode="exact", batched=True)
+    result = simulate_kernel(config, fields)
     analytic = KernelCycleModel(config).cycles()
     static = static_kernel_cycles(config)
     measured = result.total_cycles

@@ -4,7 +4,7 @@
 parameter space for the device, run one seeded strategy over the
 lint-gated cost model with an optional persistent cache, extract the
 Pareto frontier over (GFLOPS, utilisation, watts), and optionally
-re-score the top-K candidates with the fast-forward simulation tier.
+re-score the top-K candidates with the batched exact simulation tier.
 
 Observability rides along: pass a
 :class:`~repro.observe.trace.Tracer`/:class:`~repro.observe.metrics.MetricRegistry`
@@ -170,7 +170,7 @@ def tune(device: "FPGADevice | str | None", grid: Grid, *,
     cache_path:
         Persistent JSON evaluation cache (loaded before, saved after).
     measure_top_k:
-        Re-score this many top candidates with the fast-forward
+        Re-score this many top candidates with the batched exact
         simulation tier (0 = analytic only).
     measure_seed:
         Seed for the measured tier's wind fields (default: ``seed``).
@@ -348,7 +348,7 @@ def render_text(report: TuneReport) -> str:
         )
     if report.measured:
         lines.append("")
-        lines.append("measured refinement (fast-forward simulation):")
+        lines.append("measured refinement (batched exact simulation):")
         for result in report.measured:
             lines.append(
                 f"  {result.point.key():34} analytic "

@@ -1,6 +1,6 @@
 """Batched exact execution reproduces scalar ticking bit-for-bit.
 
-``DataflowEngine(mode="exact", batched=True)`` — the default — must be
+``DataflowEngine(batched=True)`` — the default — must be
 observationally *identical* to the forced-scalar per-cycle loop: same
 cycle count, same per-stage fire and stall counters, same stream
 high-water marks, same sink data, same fault traces, same monitor
@@ -8,12 +8,15 @@ samples.  The only legal differences are the engine's own
 ``batched_windows`` / ``batched_cycles`` / ``batch_fallback_reason``
 accounting fields.  These tests sweep the event machinery that bounds
 or vetoes windows: strided monitors, fault plans (drops, corrupts,
-freezes), watchdogs, and the metric/tracer surfaces.
+freezes), watchdogs, and the metric/tracer surfaces — plus the graph
+shapes (II, latency, FIFO depth, const sources, mid-chain bottlenecks)
+whose steady states the windows replay, and the RunStats aggregation
+helpers.
 """
 
 import pytest
 
-from repro.dataflow.engine import DataflowEngine
+from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
 from repro.dataflow.stage import (
@@ -22,7 +25,7 @@ from repro.dataflow.stage import (
     SinkStage,
     SourceStage,
 )
-from repro.errors import FaultError, WatchdogTimeout
+from repro.errors import DataflowError, FaultError, WatchdogTimeout
 from repro.faults import FaultPlan, FaultSpec
 from repro.observe import MetricRegistry, Tracer
 
@@ -38,17 +41,25 @@ def pipeline(n_items=300, *, fn_ii=1, fn_latency=4, depth=4):
     return g
 
 
+def const_pipeline(count=200, *, ii=1):
+    g = DataflowGraph("c")
+    src = g.add(ConstStage("const", 7, count, ii=ii))
+    sink = g.add(SinkStage("sink"))
+    g.connect(src, "out", sink, "in", depth=4)
+    return g
+
+
 def run_both(build, *, scalar_kwargs=None, batched_kwargs=None,
              **engine_kwargs):
     """Run a freshly built graph scalar and batched; return
     ((stats, graph), (stats, graph)) — graphs are stateful."""
     g_scalar = build()
     stats_scalar = DataflowEngine(
-        g_scalar, mode="exact", batched=False,
+        g_scalar, batched=False,
         **{**engine_kwargs, **(scalar_kwargs or {})}).run()
     g_batched = build()
     stats_batched = DataflowEngine(
-        g_batched, mode="exact", batched=True,
+        g_batched, batched=True,
         **{**engine_kwargs, **(batched_kwargs or {})}).run()
     return (stats_scalar, g_scalar), (stats_batched, g_batched)
 
@@ -85,12 +96,57 @@ class TestEquivalence:
             lambda: pipeline(300, fn_ii=ii, fn_latency=latency, depth=depth))
         assert_identical(scalar, batched)
         stats_batched, _ = batched
-        # The point of the mode: most of the run must actually be batched
-        # — and never counted under the fast-mode fields.
+        # The point of the mode: most of the run must actually be batched.
         assert stats_batched.batched_windows >= 1
         assert stats_batched.batched_cycles > stats_batched.cycles // 2
-        assert stats_batched.ff_advances == 0
-        assert stats_batched.ff_cycles == 0
+
+    def test_const_stage(self):
+        scalar, batched = run_both(lambda: const_pipeline(200))
+        assert_identical(scalar, batched)
+
+    def test_const_stage_ii3(self):
+        scalar, batched = run_both(lambda: const_pipeline(150, ii=3))
+        assert_identical(scalar, batched)
+
+    def test_mixed_ii_chain(self):
+        """A bottleneck mid-chain (II=2) shapes the whole steady state."""
+        def build():
+            g = DataflowGraph("chain")
+            src = g.add(SourceStage("src", range(250)))
+            double = g.add(FunctionStage("double", lambda x: 2 * x,
+                                         latency=3))
+            negate = g.add(FunctionStage("negate", lambda x: -x, ii=2,
+                                         latency=5))
+            sink = g.add(SinkStage("sink"))
+            g.connect(src, "out", double, "in", depth=4)
+            g.connect(double, "out", negate, "in", depth=8)
+            g.connect(negate, "out", sink, "in", depth=4)
+            return g
+
+        scalar, batched = run_both(build)
+        assert_identical(scalar, batched)
+        stats_batched, g_batched = batched
+        assert stats_batched.batched_windows >= 1
+        assert g_batched.stage("sink").collected == [-2 * i
+                                                     for i in range(250)]
+
+    def test_short_run_never_diverges(self):
+        # Too short for a steady state: batched must still be exact.
+        scalar, batched = run_both(lambda: pipeline(5))
+        assert_identical(scalar, batched)
+
+    def test_sink_data_ordered(self):
+        _, (stats_batched, g_batched) = run_both(lambda: pipeline(300))
+        assert g_batched.stage("sink").collected == [2 * i
+                                                     for i in range(300)]
+        assert stats_batched.batched_windows >= 1
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_max_cycles_still_enforced(self, batched):
+        # A window may never carry the run past the hard cycle cap.
+        with pytest.raises(DataflowError, match="did not quiesce"):
+            DataflowEngine(pipeline(10_000), max_cycles=10,
+                           batched=batched).run()
 
     def test_scalar_run_reports_no_batching(self):
         (stats_scalar, _), _ = run_both(lambda: pipeline(100))
@@ -98,14 +154,14 @@ class TestEquivalence:
         assert stats_scalar.batched_cycles == 0
         assert stats_scalar.batch_fallback_reason is None
 
-    def test_fast_mode_ignores_the_batched_flag(self):
-        g = pipeline(200)
-        stats = DataflowEngine(g, mode="fast", batched=True).run()
-        assert stats.batched_windows == 0
-        assert stats.ff_advances >= 1
-
 
 class TestMonitors:
+    def test_monitor_stride_honoured(self):
+        g = pipeline(300)
+        probe = StreamProbe(g.streams[0].name, stride=10)
+        stats = DataflowEngine(g, monitors=[probe]).run()
+        assert len(probe.samples) <= stats.cycles // 10 + 1
+
     def test_strided_probe_samples_identically(self):
         samples = {}
 
@@ -117,11 +173,11 @@ class TestMonitors:
 
         g_scalar, probe_scalar = build_and_attach("scalar")
         stats_scalar = DataflowEngine(
-            g_scalar, mode="exact", batched=False,
+            g_scalar, batched=False,
             monitors=[probe_scalar]).run()
         g_batched, probe_batched = build_and_attach("batched")
         stats_batched = DataflowEngine(
-            g_batched, mode="exact", batched=True,
+            g_batched, batched=True,
             monitors=[probe_batched]).run()
         assert stats_batched.cycles == stats_scalar.cycles
         assert probe_batched.samples == probe_scalar.samples
@@ -131,11 +187,11 @@ class TestMonitors:
     def test_throughput_monitor_windows_match(self):
         g_scalar = pipeline(400)
         mon_scalar = ThroughputMonitor("fn", window=64)
-        DataflowEngine(g_scalar, mode="exact", batched=False,
+        DataflowEngine(g_scalar, batched=False,
                        monitors=[mon_scalar]).run()
         g_batched = pipeline(400)
         mon_batched = ThroughputMonitor("fn", window=64)
-        stats = DataflowEngine(g_batched, mode="exact", batched=True,
+        stats = DataflowEngine(g_batched, batched=True,
                                monitors=[mon_batched]).run()
         assert mon_batched.rates == mon_scalar.rates
         assert stats.batched_windows >= 1
@@ -143,7 +199,7 @@ class TestMonitors:
     def test_every_cycle_monitor_disables_batching_with_reason(self):
         g = pipeline(200)
         stats = DataflowEngine(
-            g, mode="exact", batched=True,
+            g, batched=True,
             monitors=[StreamProbe("src.out->fn.in", stride=1)]).run()
         assert stats.batched_windows == 0
         assert "samples every cycle" in stats.batch_fallback_reason
@@ -164,10 +220,10 @@ class TestFaults:
 
         plan_scalar, plan_batched = plan(), plan()
         with pytest.raises(FaultError) as err_scalar:
-            DataflowEngine(build(), mode="exact", batched=False,
+            DataflowEngine(build(), batched=False,
                            fault_plan=plan_scalar).run()
         with pytest.raises(FaultError) as err_batched:
-            DataflowEngine(build(), mode="exact", batched=True,
+            DataflowEngine(build(), batched=True,
                            fault_plan=plan_batched).run()
         assert str(err_batched.value) == str(err_scalar.value)
         assert plan_batched.trace_key() == plan_scalar.trace_key()
@@ -206,10 +262,10 @@ class TestFaults:
 
         plan_scalar, plan_batched = plan(), plan()
         with pytest.raises(FaultError) as err_scalar:
-            DataflowEngine(build(), mode="exact", batched=False,
+            DataflowEngine(build(), batched=False,
                            fault_plan=plan_scalar).run()
         with pytest.raises(FaultError) as err_batched:
-            DataflowEngine(build(), mode="exact", batched=True,
+            DataflowEngine(build(), batched=True,
                            fault_plan=plan_batched).run()
         assert str(err_batched.value) == str(err_scalar.value)
         assert plan_batched.trace_key() == plan_scalar.trace_key()
@@ -222,10 +278,10 @@ class TestFaults:
 
         plan_scalar, plan_batched = plan(), plan()
         with pytest.raises(FaultError) as err_scalar:
-            DataflowEngine(pipeline(300), mode="exact", batched=False,
+            DataflowEngine(pipeline(300), batched=False,
                            fault_plan=plan_scalar).run()
         with pytest.raises(FaultError) as err_batched:
-            DataflowEngine(pipeline(300), mode="exact", batched=True,
+            DataflowEngine(pipeline(300), batched=True,
                            fault_plan=plan_batched).run()
         assert str(err_batched.value) == str(err_scalar.value)
         assert plan_batched.trace_key() == plan_scalar.trace_key()
@@ -259,10 +315,10 @@ class TestFaults:
 
         plan_scalar, plan_batched = plan(), plan()
         with pytest.raises(FaultError) as err_scalar:
-            DataflowEngine(pipeline(120), mode="exact", batched=False,
+            DataflowEngine(pipeline(120), batched=False,
                            fault_plan=plan_scalar).run()
         with pytest.raises(FaultError) as err_batched:
-            DataflowEngine(pipeline(120), mode="exact", batched=True,
+            DataflowEngine(pipeline(120), batched=True,
                            fault_plan=plan_batched).run()
         assert str(err_batched.value) == str(err_scalar.value)
         assert plan_batched.trace_key() == plan_scalar.trace_key()
@@ -280,10 +336,10 @@ class TestWatchdog:
             return g
 
         with pytest.raises(WatchdogTimeout):
-            DataflowEngine(build(), mode="exact", batched=False,
+            DataflowEngine(build(), batched=False,
                            watchdog=500).run()
         with pytest.raises(WatchdogTimeout):
-            DataflowEngine(build(), mode="exact", batched=True,
+            DataflowEngine(build(), batched=True,
                            watchdog=500).run()
 
     def test_watchdog_that_never_fires_is_equivalent(self):
@@ -295,7 +351,7 @@ class TestObservability:
     def test_tracer_emits_batched_window_spans(self):
         tracer = Tracer(enabled=True)
         g = pipeline(300)
-        stats = DataflowEngine(g, mode="exact", batched=True,
+        stats = DataflowEngine(g, batched=True,
                                tracer=tracer).run()
         assert stats.batched_windows >= 1
         spans = [s for s in tracer.spans if s.category == "batched"]
@@ -305,7 +361,7 @@ class TestObservability:
     def test_metrics_carry_the_batched_counters(self):
         registry = MetricRegistry(enabled=True)
         g = pipeline(300)
-        stats = DataflowEngine(g, mode="exact", batched=True,
+        stats = DataflowEngine(g, batched=True,
                                metrics=registry).run()
         snapshot = registry.snapshot()
         assert snapshot["batched_windows"]["samples"][0]["value"] \
@@ -317,7 +373,7 @@ class TestObservability:
         registry = MetricRegistry(enabled=True)
         g = pipeline(200)
         stats = DataflowEngine(
-            g, mode="exact", batched=True, metrics=registry,
+            g, batched=True, metrics=registry,
             monitors=[StreamProbe("src.out->fn.in", stride=1)]).run()
         assert stats.batch_fallback_reason is not None
         assert "batch_fallbacks" in registry.names()
@@ -332,9 +388,27 @@ class TestObservability:
 
 
 class TestRunStatsPlumbing:
-    def test_merge_sums_window_counters_and_joins_reasons(self):
-        from repro.dataflow.engine import RunStats
+    def test_merge_adds_counters_and_maxes_high_water(self):
+        a = RunStats(cycles=100, fires={"x": 10},
+                     stalls={"x": {"input": 1, "ii": 2}},
+                     stream_high_water={"s": 3})
+        b = RunStats(cycles=40, fires={"x": 4, "y": 7},
+                     stalls={"x": {"input": 2}, "y": {"output": 5}},
+                     stream_high_water={"s": 2, "t": 9})
+        m = RunStats.merge([a, b])
+        assert m.cycles == 140
+        assert m.fires == {"x": 14, "y": 7}
+        assert m.stalls == {"x": {"input": 3, "ii": 2},
+                            "y": {"output": 5}}
+        assert m.stream_high_water == {"s": 3, "t": 9}
 
+    def test_merge_empty(self):
+        m = RunStats.merge([])
+        assert m.cycles == 0
+        assert m.fires == {}
+        assert m.batch_fallback_reason is None
+
+    def test_merge_sums_window_counters_and_joins_reasons(self):
         a = RunStats(cycles=10, fires={}, stalls={}, stream_high_water={},
                      batched_windows=2, batched_cycles=6,
                      batch_fallback_reason="reason a")
@@ -344,8 +418,21 @@ class TestRunStatsPlumbing:
         merged = RunStats.merge([a, b])
         assert merged.batched_windows == 5
         assert merged.batched_cycles == 21
-        assert "reason a" in merged.batch_fallback_reason
-        assert "reason b" in merged.batch_fallback_reason
+        assert merged.batch_fallback_reason == "reason a; reason b"
+
+    def test_merge_deduplicates_repeated_fallback_reason(self):
+        runs = [RunStats(cycles=5, batch_fallback_reason="monitor")] * 3
+        assert RunStats.merge(runs).batch_fallback_reason == "monitor"
+
+    def test_merge_without_fallbacks_stays_none(self):
+        assert RunStats.merge(
+            [RunStats(cycles=5)]).batch_fallback_reason is None
+
+    def test_summary_quiet_without_batching(self):
+        stats = RunStats(cycles=500, fires={"fn": 400})
+        text = stats.summary()
+        assert "batched" not in text
+        assert "fn" in text
 
     def test_to_dict_round_trips_the_new_fields(self):
         _, batched = run_both(lambda: pipeline(200))

@@ -111,8 +111,7 @@ class TestCompileGraph:
         # with it must batch on the very first probe.
         g = pipeline(300)
         hint = compile_graph(g).period_hint
-        stats = DataflowEngine(pipeline(300), mode="exact",
-                               batched=True).run()
+        stats = DataflowEngine(pipeline(300), batched=True).run()
         assert stats.batched_windows >= 1
         assert hint is not None
         # The committed window is a whole number of proved periods.

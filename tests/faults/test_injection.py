@@ -3,8 +3,8 @@
 FIFO corruption must be detected at the consumer (never silently
 consumed), dropped words must surface as a typed error rather than a
 quiet short-count, frozen stages must trip the deadlock guard or the
-watchdog, and any active plan must demote fast-forward mode with a
-user-visible reason.
+watchdog, and an active plan must bound batched windows rather than
+demote the run.
 """
 
 import pytest
@@ -103,31 +103,12 @@ class TestWatchdog:
             DataflowEngine(pipeline(), watchdog=0)
 
 
-class TestFastModeDemotion:
-    def test_active_plan_demotes_with_reason(self):
+class TestBatchedUnderFaultPlans:
+    def test_active_plan_keeps_batching_without_a_reason(self):
+        # A fault plan bounds batched windows at its strikes; it never
+        # demotes the run, so a plan that never strikes costs nothing.
         plan = FaultPlan([FaultSpec("fifo", "corrupt", match="nomatch")])
-        stats = DataflowEngine(pipeline(), mode="fast",
-                               fault_plan=plan).run()
-        assert stats.ff_advances == 0
-        assert stats.ff_veto_reason is not None
-        assert "fault injection" in stats.ff_veto_reason
-
-    def test_monitors_demote_with_reason(self):
-        from repro.dataflow.monitors import StreamProbe
-
-        probe = StreamProbe("src.out->fn.in")
-        stats = DataflowEngine(pipeline(), mode="fast",
-                               monitors=[probe]).run()
-        assert stats.ff_veto_reason is not None
-        assert "monitor" in stats.ff_veto_reason
-
-    def test_clean_fast_run_has_no_reason(self):
-        stats = DataflowEngine(pipeline(300), mode="fast").run()
-        assert stats.ff_veto_reason is None
-        assert stats.ff_advances > 0
-
-    def test_summary_mentions_demotion(self):
-        plan = FaultPlan([FaultSpec("fifo", "corrupt", match="nomatch")])
-        stats = DataflowEngine(pipeline(), mode="fast",
-                               fault_plan=plan).run()
-        assert "demoted" in stats.summary()
+        stats = DataflowEngine(pipeline(300), fault_plan=plan).run()
+        assert stats.batched_windows > 0
+        assert stats.batch_fallback_reason is None
+        assert "fallback" not in stats.summary()

@@ -20,22 +20,16 @@ from repro.kernel.simulate import simulate_kernel
 from .conftest import as_json
 
 
-def small_run(mode: str = "exact"):
+def small_run():
     grid = Grid(nx=6, ny=9, nz=5)
     fields = random_wind(grid, seed=17, magnitude=2.0)
-    return simulate_kernel(KernelConfig(grid=grid, chunk_width=4), fields,
-                           mode=mode)
+    return simulate_kernel(KernelConfig(grid=grid, chunk_width=4), fields)
 
 
 class TestStatsSnapshots:
     def test_aggregate_stats_exact(self, golden):
         stats = small_run().aggregate_stats()
         golden("aggregate_stats_exact.json", as_json(stats.to_dict()))
-
-    def test_aggregate_stats_fast(self, golden):
-        # Fast mode adds the ff_* counters; cycles must match exact.
-        stats = small_run(mode="fast").aggregate_stats()
-        golden("aggregate_stats_fast.json", as_json(stats.to_dict()))
 
     def test_runstats_merge(self, golden):
         merged = RunStats.merge(small_run().chunk_stats)
@@ -51,12 +45,6 @@ class TestCliSnapshots:
         assert main(["simulate", "--nx", "6", "--ny", "9", "--nz", "5",
                      "--chunk-width", "4"]) == 0
         golden("cli_simulate.txt", normalise_wall(capsys.readouterr().out))
-
-    def test_simulate_fast_text(self, golden, capsys):
-        assert main(["simulate", "--nx", "6", "--ny", "9", "--nz", "5",
-                     "--chunk-width", "4", "--mode", "fast"]) == 0
-        golden("cli_simulate_fast.txt",
-               normalise_wall(capsys.readouterr().out))
 
     def test_lint_json(self, golden, capsys):
         assert main(["lint", "--json"]) == 0

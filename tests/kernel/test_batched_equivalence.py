@@ -1,10 +1,11 @@
-"""Fast mode reproduces exact kernel simulation bit-for-bit.
+"""Batched exact kernel simulation reproduces the scalar loop bit-for-bit.
 
 Equivalence is checked at the level the paper cares about: total cycle
 counts, per-stage fire/stall counters, stream sizing bounds, and the
 output source arrays — across chunked, memory-starved, and multi-kernel
-configurations.  Also covers the batched shift-buffer feed path and the
-benchmark record module the perf harness is built on.
+configurations, with ``batched=False`` as the reference.  Also covers the
+batched shift-buffer feed path and the benchmark record module the perf
+harness is built on.
 """
 
 import numpy as np
@@ -21,64 +22,62 @@ from repro.shiftbuffer.buffer3d import ShiftBuffer3D
 
 
 def run_both(config, fields, **kwargs):
-    exact = simulate_kernel(config, fields, mode="exact", **kwargs)
-    fast = simulate_kernel(config, fields, mode="fast", **kwargs)
-    return exact, fast
+    scalar = simulate_kernel(config, fields, batched=False, **kwargs)
+    batched = simulate_kernel(config, fields, batched=True, **kwargs)
+    return scalar, batched
 
 
-def assert_identical(exact, fast):
-    assert fast.total_cycles == exact.total_cycles
-    agg_exact, agg_fast = exact.aggregate_stats(), fast.aggregate_stats()
-    assert agg_fast.fires == agg_exact.fires
-    assert agg_fast.stalls == agg_exact.stalls
-    assert agg_fast.stream_high_water == agg_exact.stream_high_water
+def assert_identical(scalar, batched):
+    assert batched.total_cycles == scalar.total_cycles
+    agg_scalar = scalar.aggregate_stats()
+    agg_batched = batched.aggregate_stats()
+    assert agg_batched.fires == agg_scalar.fires
+    assert agg_batched.stalls == agg_scalar.stalls
+    assert agg_batched.stream_high_water == agg_scalar.stream_high_water
     for name in ("su", "sv", "sw"):
-        assert np.array_equal(getattr(exact.sources, name),
-                              getattr(fast.sources, name)), name
+        assert np.array_equal(getattr(scalar.sources, name),
+                              getattr(batched.sources, name)), name
+
+
+def assert_multi_identical(scalar, batched):
+    assert batched.total_cycles == scalar.total_cycles
+    assert batched.chunk_cycles == scalar.chunk_cycles
+    assert batched.arbiter.grants == scalar.arbiter.grants
+    assert batched.arbiter.denials == scalar.arbiter.denials
+    for name in ("su", "sv", "sw"):
+        assert np.array_equal(getattr(scalar.sources, name),
+                              getattr(batched.sources, name)), name
 
 
 class TestSingleKernel:
     def test_unchunked_bit_identical(self):
         grid = Grid(nx=8, ny=8, nz=8)
         fields = random_wind(grid, seed=3, magnitude=2.0)
-        exact, fast = run_both(KernelConfig(grid=grid, chunk_width=64),
-                               fields)
-        assert_identical(exact, fast)
-        # The steady state is long enough that fast mode must have skipped
-        # the bulk of the run.
-        agg = fast.aggregate_stats()
-        assert agg.ff_advances >= 1
-        assert agg.ff_cycles > fast.total_cycles // 2
+        scalar, batched = run_both(KernelConfig(grid=grid, chunk_width=64),
+                                   fields)
+        assert_identical(scalar, batched)
+        # The steady state is long enough that the bulk of the run must
+        # have been batched.
+        agg = batched.aggregate_stats()
+        assert agg.batched_windows >= 1
+        assert agg.batched_cycles > batched.total_cycles // 2
 
     def test_chunked_bit_identical(self):
         grid = Grid(nx=10, ny=14, nz=9)
         fields = random_wind(grid, seed=11, magnitude=2.0)
-        exact, fast = run_both(KernelConfig(grid=grid, chunk_width=5),
-                               fields)
-        assert_identical(exact, fast)
-        # One advance per chunk: the fast-forward table resets per engine.
-        assert fast.aggregate_stats().ff_advances >= len(fast.chunk_stats)
+        scalar, batched = run_both(KernelConfig(grid=grid, chunk_width=5),
+                                   fields)
+        assert_identical(scalar, batched)
+        # At least one window per chunk: detection resets per engine run.
+        assert batched.aggregate_stats().batched_windows \
+            >= len(batched.chunk_stats)
 
     def test_starved_read_bit_identical(self):
         grid = Grid(nx=8, ny=8, nz=8)
         fields = random_wind(grid, seed=3)
-        exact, fast = run_both(KernelConfig(grid=grid, chunk_width=64),
-                               fields, read_ii=2)
-        assert_identical(exact, fast)
-
-    def test_exact_mode_reports_no_advances(self):
-        grid = Grid(nx=6, ny=6, nz=6)
-        fields = random_wind(grid, seed=1)
-        result = simulate_kernel(KernelConfig(grid=grid), fields)
-        agg = result.aggregate_stats()
-        assert agg.ff_advances == 0
-        assert agg.ff_cycles == 0
-
-    def test_bad_mode_rejected(self):
-        grid = Grid(nx=4, ny=4, nz=4)
-        fields = random_wind(grid, seed=0)
-        with pytest.raises(DataflowError, match="mode"):
-            simulate_kernel(KernelConfig(grid=grid), fields, mode="warp")
+        scalar, batched = run_both(KernelConfig(grid=grid, chunk_width=64),
+                                   fields, read_ii=2)
+        assert_identical(scalar, batched)
 
     def test_aggregate_stats_sums_chunks(self):
         grid = Grid(nx=8, ny=10, nz=6)
@@ -92,37 +91,34 @@ class TestSingleKernel:
 
 
 class TestMultiKernel:
-    def test_ample_bandwidth_bit_identical(self):
-        grid = Grid(nx=8, ny=6, nz=4)
-        fields = random_wind(grid, seed=2)
-        config = KernelConfig(grid=grid, chunk_width=3)
-        exact = simulate_multi_kernel(config, fields, num_kernels=2)
-        fast = simulate_multi_kernel(config, fields, num_kernels=2,
-                                     mode="fast")
-        assert fast.total_cycles == exact.total_cycles
-        assert fast.arbiter.grants == exact.arbiter.grants
-        assert fast.arbiter.denials == exact.arbiter.denials
-        for name in ("su", "sv", "sw"):
-            assert np.array_equal(getattr(exact.sources, name),
-                                  getattr(fast.sources, name))
+    def run_both(self, grid, chunk_width, **kwargs):
+        fields = random_wind(grid, seed=2, magnitude=2.0)
+        config = KernelConfig(grid=grid, chunk_width=chunk_width)
+        return (simulate_multi_kernel(config, fields, num_kernels=2,
+                                      batched=False, **kwargs),
+                simulate_multi_kernel(config, fields, num_kernels=2,
+                                      **kwargs))
 
-    def test_starved_arbiter_disables_fast_forward(self):
+    def test_ample_bandwidth_bit_identical(self):
+        scalar, batched = self.run_both(Grid(nx=8, ny=6, nz=4), 3)
+        assert_multi_identical(scalar, batched)
+        assert batched.batch_fallback_reason is None
+
+    def test_starved_arbiter_records_its_fallback(self):
         """A contended memory makes read counts data-dependent: the read
-        stage vetoes and the run must match exact ticking regardless."""
-        grid = Grid(nx=8, ny=6, nz=4)
-        fields = random_wind(grid, seed=2)
-        config = KernelConfig(grid=grid, chunk_width=3)
-        exact = simulate_multi_kernel(config, fields, num_kernels=2,
-                                      memory_cells_per_cycle=1.5)
-        fast = simulate_multi_kernel(config, fields, num_kernels=2,
-                                     memory_cells_per_cycle=1.5, mode="fast")
-        assert exact.arbiter.denials > 0  # the scenario really starves
-        assert fast.total_cycles == exact.total_cycles
-        assert fast.arbiter.grants == exact.arbiter.grants
-        assert fast.arbiter.denials == exact.arbiter.denials
-        for name in ("su", "sv", "sw"):
-            assert np.array_equal(getattr(exact.sources, name),
-                                  getattr(fast.sources, name))
+        stage vetoes batching, the run matches scalar ticking, and the
+        result says why it did not batch."""
+        scalar, batched = self.run_both(Grid(nx=8, ny=12, nz=8), 4,
+                                        memory_cells_per_cycle=1.5)
+        assert scalar.arbiter.denials > 0  # the scenario really starves
+        assert_multi_identical(scalar, batched)
+        reason = batched.batch_fallback_reason
+        assert reason is not None
+        assert "vetoed steady-state" in reason
+        # Distinct reasons are joined once each, as RunStats.merge does.
+        parts = reason.split("; ")
+        assert len(parts) == len(set(parts))
+        assert scalar.batch_fallback_reason is None
 
 
 class TestBatchedFeed:
@@ -198,24 +194,24 @@ class TestBenchRecords:
     def test_round_trip(self, tmp_path):
         suite = BenchSuite(context={"grid": "8x8x8"})
         suite.add(self.record("a", wall=2.0))
-        suite.add(self.record("b", wall=0.5, mode="fast"))
+        suite.add(self.record("b", wall=0.5, mode="batched"))
         path = suite.write(tmp_path / "bench.json")
         loaded = load_suite(path)
         assert loaded.context["grid"] == "8x8x8"
         assert [r.name for r in loaded.records] == ["a", "b"]
-        assert loaded.find("b").mode == "fast"
+        assert loaded.find("b").mode == "batched"
 
     def test_cycles_per_second(self):
         assert self.record(wall=2.0, cycles=1000).cycles_per_second == 500.0
 
     def test_speedup(self):
         base = self.record("base", wall=2.0)
-        cand = self.record("cand", wall=0.5, mode="fast")
+        cand = self.record("cand", wall=0.5, mode="batched")
         assert speedup(base, cand) == pytest.approx(4.0)
 
     def test_speedup_rejects_mismatched_cycles(self):
         base = self.record("base", cycles=1000)
-        cand = self.record("cand", cycles=999, mode="fast")
+        cand = self.record("cand", cycles=999, mode="batched")
         with pytest.raises(ConfigurationError):
             speedup(base, cand)
 

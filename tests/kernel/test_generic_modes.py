@@ -1,11 +1,11 @@
 """Cross-mode behaviour of the generic stencil machine.
 
 The shift-buffer and window-compute stages are data-dependent
-(``unit_rate = False``, no fast-forward signature), so the engine's
-optimised paths must *demote* — fast mode records a veto and batched
-exact falls back to the scalar loop — and the demoted runs must stay
-byte-for-byte identical to forced-scalar execution.  These tests pin
-that contract for both kernels built on the machine.
+(``unit_rate = False``, no steady-state signature), so batched exact
+execution must fall back to the scalar loop — recording why — and the
+fallen-back runs must stay byte-for-byte identical to forced-scalar
+execution.  These tests pin that contract for both kernels built on the
+machine.
 """
 
 import numpy as np
@@ -19,14 +19,14 @@ from repro.scenarios.conformance import STATS_BATCH_KEYS
 from repro.scenarios.kernels import BuoyancyKernel, DiffusionKernel
 
 
-def run_field(kernel, fields, name, *, mode="exact", batched=True):
+def run_field(kernel, fields, name, *, batched=True):
     from repro.kernel.generic import run_stencil_kernel
 
     grid = fields.grid
     out = np.zeros(grid.interior_shape)
     stats = run_stencil_kernel(
         getattr(fields, name), kernel.window_fn(grid), out,
-        mode=mode, batched=batched)
+        batched=batched)
     return out, stats
 
 
@@ -71,15 +71,3 @@ class TestGenericKernelModes:
             for key in STATS_BATCH_KEYS:
                 s_dict.pop(key), b_dict.pop(key)
             assert s_dict == b_dict
-
-    def test_fast_mode_demotes_with_identical_results(self, kernel,
-                                                      reference):
-        grid = Grid(nx=4, ny=4, nz=5)
-        fields = random_wind(grid, seed=7, magnitude=1.5)
-        scalar, s_stats = run_field(kernel, fields, "u", batched=False)
-        fast, f_stats = run_field(kernel, fields, "u", mode="fast",
-                                  batched=False)
-        np.testing.assert_array_equal(scalar, fast)
-        assert s_stats.cycles == f_stats.cycles
-        assert f_stats.ff_veto_reason
-        assert f_stats.ff_advances == 0

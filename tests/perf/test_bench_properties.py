@@ -23,7 +23,7 @@ records = st.builds(
                            allow_nan=False),
     cycles=st.integers(min_value=0, max_value=10**12),
     cells=st.integers(min_value=0, max_value=10**9),
-    mode=st.sampled_from(["exact", "fast"]),
+    mode=st.sampled_from(["scalar", "batched"]),
     extra=st.dictionaries(names, json_scalars, max_size=4),
 )
 suites = st.builds(

@@ -1,8 +1,9 @@
 """The cross-mode conformance harness, run over the whole registry.
 
 This is the suite's enforcement arm: every registered scenario must be
-bit-identical across forced-scalar exact, batched exact and fast modes
-(against the NumPy reference), agree under an injected fault plan, pass
+bit-identical between forced-scalar and batched exact execution (and
+against the NumPy reference), record why it did not batch when its
+kernel is data-dependent, agree under an injected fault plan, pass
 lint, and carry a static deadlock-freedom proof.  A scenario that fails
 any leg cannot ship.
 """
@@ -57,24 +58,42 @@ class TestHarnessMechanics:
         grid = scenario.small_grid()
         for plan in (first, second):
             try:
-                scenario.run(grid, mode="exact", batched=False,
-                             fault_plan=plan)
+                scenario.run(grid, batched=False, fault_plan=plan)
             except Exception:
                 pass
         assert first.trace_key() == second.trace_key()
 
-    def test_fast_inadmissible_kernels_record_their_veto(self):
-        """The harness asserts the veto *fires*; double-check directly."""
+    def test_inadmissible_kernels_record_a_fallback(self):
+        """The harness asserts the fallback is recorded; double-check
+        directly."""
         scenario = get("diffusion")
-        result = scenario.run(scenario.small_grid(), mode="fast",
-                              batched=False)
-        assert not scenario.kernel.fast_admissible
-        assert result.stats.ff_veto_reason
+        result = scenario.run(scenario.small_grid())
+        assert not scenario.kernel.batch_admissible
+        assert "vetoed steady-state" in result.stats.batch_fallback_reason
+        assert result.stats.batched_windows == 0
 
-    def test_advection_fast_forward_is_admissible(self):
+    def test_advection_batching_is_admissible(self):
         scenario = get("pw-advection")
-        result = scenario.run(scenario.small_grid(), mode="fast",
-                              batched=False)
-        assert scenario.kernel.fast_admissible
-        assert not result.stats.ff_veto_reason
-        assert result.stats.ff_advances > 0
+        result = scenario.run(scenario.small_grid())
+        assert scenario.kernel.batch_admissible
+        assert not result.stats.batch_fallback_reason
+        assert result.stats.batched_windows > 0
+
+    def test_silent_fallback_fails_the_batched_check(self, monkeypatch):
+        """A data-dependent kernel that stops recording its fallback is
+        a conformance failure, not a pass."""
+        scenario = get("buoyancy")
+        kernel_cls = type(scenario.kernel)
+        real_run = kernel_cls.run
+
+        def silent_run(self, fields, **kwargs):
+            sources, stats, cycles = real_run(self, fields, **kwargs)
+            return (sources,
+                    dataclasses.replace(stats, batch_fallback_reason=None),
+                    cycles)
+
+        monkeypatch.setattr(kernel_cls, "run", silent_run)
+        entry = run_conformance(scenario)
+        (batched,) = [r for r in entry.results if r.check == "batched"]
+        assert not batched.ok
+        assert "without recording a fallback reason" in batched.detail

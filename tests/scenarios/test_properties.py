@@ -28,8 +28,8 @@ def grid_for(scenario_name: str, draw) -> Grid:
 
 def assert_modes_agree(scenario_name: str, grid: Grid, seed: int) -> None:
     scenario = get(scenario_name)
-    scalar = scenario.run(grid, seed=seed, mode="exact", batched=False)
-    batched = scenario.run(grid, seed=seed, mode="exact", batched=True)
+    scalar = scenario.run(grid, seed=seed, batched=False)
+    batched = scenario.run(grid, seed=seed, batched=True)
     references = scenario.reference(grid, seed=seed)
     assert scalar.total_cycles == batched.total_cycles
     for out_s, out_b, ref in zip(scalar.batches, batched.batches,

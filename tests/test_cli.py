@@ -88,6 +88,24 @@ class TestReport:
         assert path.read_text().startswith("# Reproduction report")
 
 
+class TestSimulateCommand:
+    def test_starved_multi_kernel_run_prints_its_fallback(self, capsys):
+        # A starved shared memory vetoes batching; the run must say why.
+        assert main(["simulate", "--nx", "8", "--ny", "12", "--nz", "8",
+                     "--chunk-width", "4", "--kernels", "2",
+                     "--memory-rate", "1.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any("430 denials" in line for line in lines)
+        (fallback,) = [line for line in lines
+                       if line.startswith("fallback:")]
+        assert "'k0.read_data' vetoed steady-state detection" in fallback
+
+    def test_ample_multi_kernel_run_prints_no_fallback(self, capsys):
+        assert main(["simulate", "--nx", "8", "--ny", "6", "--nz", "4",
+                     "--chunk-width", "3", "--kernels", "2"]) == 0
+        assert "fallback:" not in capsys.readouterr().out
+
+
 class TestTraceOption:
     def test_run_writes_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -116,7 +134,7 @@ class TestTraceCommand:
     def test_trace_exact_mode(self, capsys, tmp_path):
         out = tmp_path / "exact.json"
         assert main(["trace", "--nx", "6", "--ny", "9", "--nz", "5",
-                     "--mode", "exact", "--chunk-width", "4",
+                     "--chunk-width", "4",
                      "--out", str(out)]) == 0
         assert out.exists()
 
