@@ -1,10 +1,11 @@
 """Perf-regression harness for the engine's batched exact execution.
 
-Runs the full Fig. 2 kernel simulation on the same grid two ways — the
+Runs the full Fig. 2 kernel simulation and a diffusion pass on the
+generic stencil machine on the same grid two ways each — the
 forced-scalar exact loop (the baseline) and batched exact execution
 (the default) — verifies both are bit-for-bit identical (cycle counts,
 per-stage fires and stalls, output arrays), and records wall times and
-the speedup to ``benchmarks/BENCH_dataflow.json``.
+the speedups to ``benchmarks/BENCH_dataflow.json``.
 
 Usage::
 
@@ -13,11 +14,15 @@ Usage::
         --nz 32 --min-batched-speedup 5
 
 Exit status is non-zero if any run disagrees with the scalar baseline
-or the batched exact speedup falls below ``--min-batched-speedup``
-(default 10x on the 64^3 grid).  ``--smoke``
-shrinks the grid to 32^3 and relaxes the gates for CI: the batched gate
-stays at 5x there, which 32^3 clears with headroom while 16^3 would not
-(too little steady state to amortise the detection warm-up).
+or a batched exact speedup falls below its floor
+(``--min-batched-speedup`` / ``--min-diffusion-speedup``, default 10x
+each on the 64^3 grid).  ``--smoke``
+shrinks the grid to 32^3 and relaxes the gates for CI: both batched
+gates stay at 5x there, which 32^3 clears with headroom while 16^3 would
+not (too little steady state to amortise the detection warm-up).
+
+The diffusion leg streams one field through ``run_stencil_kernel``
+with the scenario suite's diffusion ``WindowOp``.
 
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
@@ -45,9 +50,11 @@ from repro.core.grid import Grid
 from repro.core.wind import random_wind
 from repro.faults import FaultPlan, RetryPolicy
 from repro.kernel.config import KernelConfig
+from repro.kernel.generic import run_stencil_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.observe import MetricRegistry, Tracer
 from repro.perf.bench import BenchRecord, BenchSuite, render_table, speedup
+from repro.scenarios.kernels import DiffusionKernel
 
 DEFAULT_OUTPUT = "benchmarks/BENCH_dataflow.json"
 
@@ -56,6 +63,14 @@ def run_once(config, fields, **kwargs):
     start = time.perf_counter()
     result = simulate_kernel(config, fields, **kwargs)
     return result, time.perf_counter() - start
+
+
+def run_diffusion(grid, block, **kwargs):
+    out = np.zeros(grid.interior_shape)
+    start = time.perf_counter()
+    stats = run_stencil_kernel(block, DiffusionKernel().window_op(grid),
+                               out, **kwargs)
+    return out, stats, time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -68,6 +83,11 @@ def main(argv=None) -> int:
     parser.add_argument("--min-batched-speedup", type=float, default=10.0,
                         help="fail below this batched-exact/scalar "
                              "speedup (default: %(default)s)")
+    parser.add_argument("--min-diffusion-speedup", type=float,
+                        default=10.0,
+                        help="fail below this batched-exact/scalar "
+                             "speedup of the diffusion leg (default: "
+                             "%(default)s)")
     parser.add_argument("--max-resilience-overhead", type=float,
                         default=0.03,
                         help="fail when the fault-free resilient run is "
@@ -94,6 +114,7 @@ def main(argv=None) -> int:
     if args.smoke:
         args.nx, args.ny, args.nz = 32, 32, 32
         args.min_batched_speedup = min(args.min_batched_speedup, 5.0)
+        args.min_diffusion_speedup = min(args.min_diffusion_speedup, 5.0)
         # Sub-second batched runs amplify timer noise; the 3% gates only
         # mean something on paper-scale runs.
         args.max_resilience_overhead = max(
@@ -108,6 +129,10 @@ def main(argv=None) -> int:
 
     scalar, t_scalar = run_once(config, fields, batched=False)
     batched, t_batched = run_once(config, fields, batched=True)
+    diff_scalar, diff_s_stats, t_diff_scalar = run_diffusion(
+        grid, fields.u, batched=False)
+    diff_batched, diff_b_stats, t_diff_batched = run_diffusion(
+        grid, fields.u, batched=True)
     # The overhead gates chase few-percent effects buried under
     # comparable wall-time noise, so measure them from interleaved
     # tuples and compare the minimums (systematic machine drift then
@@ -160,6 +185,13 @@ def main(argv=None) -> int:
         errors.append("resilient path retried on a fault-free run")
     if observed.total_cycles != scalar.total_cycles:
         errors.append("disabled observability changed the cycle count")
+    if not np.array_equal(diff_scalar, diff_batched):
+        errors.append("diffusion output not bit-identical under batched "
+                      "exact")
+    if (diff_s_stats.cycles, diff_s_stats.fires, diff_s_stats.stalls) != (
+            diff_b_stats.cycles, diff_b_stats.fires, diff_b_stats.stalls):
+        errors.append("diffusion cycles, fires or stalls differ under "
+                      "batched exact")
     if errors:
         for err in errors:
             print(f"MISMATCH: {err}", file=sys.stderr)
@@ -201,12 +233,27 @@ def main(argv=None) -> int:
         extra={"overhead_vs_batched": round(observe_overhead, 4),
                "timing_pairs": args.overhead_repeats,
                "instruments": "tracer+metrics, disabled"})
+    stencil_cells = fields.u.size
+    rec_diff_scalar = BenchRecord(
+        name=f"diffusion-{label}-scalar", wall_seconds=t_diff_scalar,
+        cycles=diff_s_stats.cycles, cells=stencil_cells, mode="exact",
+        extra={"batched": False})
+    rec_diff_batched = BenchRecord(
+        name=f"diffusion-{label}-batched", wall_seconds=t_diff_batched,
+        cycles=diff_b_stats.cycles, cells=stencil_cells, mode="exact",
+        extra={"batched": True,
+               "batched_windows": diff_b_stats.batched_windows,
+               "batched_cycles": diff_b_stats.batched_cycles})
     suite.add(rec_scalar)
     suite.add(rec_batched)
     suite.add(rec_resilient)
     suite.add(rec_observed)
+    suite.add(rec_diff_scalar)
+    suite.add(rec_diff_batched)
     gain_batched = speedup(rec_scalar, rec_batched)
+    gain_diffusion = speedup(rec_diff_scalar, rec_diff_batched)
     suite.context["speedup_batched_exact"] = round(gain_batched, 2)
+    suite.context["speedup_diffusion_batched"] = round(gain_diffusion, 2)
     suite.context["resilience_overhead"] = round(overhead, 4)
     suite.context["observe_overhead"] = round(observe_overhead, 4)
     path = suite.write(args.output)
@@ -215,6 +262,9 @@ def main(argv=None) -> int:
     print(f"\nbatched exact speedup: {gain_batched:.2f}x "
           f"({agg_batched.batched_cycles}/{batched.total_cycles} cycles "
           f"batched in {agg_batched.batched_windows} windows)")
+    print(f"diffusion batched exact speedup: {gain_diffusion:.2f}x "
+          f"({diff_b_stats.batched_cycles}/{diff_b_stats.cycles} cycles "
+          f"batched in {diff_b_stats.batched_windows} windows)")
     print(f"fault-free resilience overhead: {overhead * 100:+.2f}%")
     print(f"disabled observability overhead: "
           f"{observe_overhead * 100:+.2f}%")
@@ -223,6 +273,11 @@ def main(argv=None) -> int:
     if gain_batched < args.min_batched_speedup:
         print(f"FAIL: batched exact speedup {gain_batched:.2f}x below "
               f"the {args.min_batched_speedup:.1f}x floor",
+              file=sys.stderr)
+        failed = True
+    if gain_diffusion < args.min_diffusion_speedup:
+        print(f"FAIL: diffusion batched exact speedup {gain_diffusion:.2f}x "
+              f"below the {args.min_diffusion_speedup:.1f}x floor",
               file=sys.stderr)
         failed = True
     if overhead > args.max_resilience_overhead:

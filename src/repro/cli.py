@@ -477,6 +477,18 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+def _print_batched_split(stats, total_cycles: int) -> None:
+    """The ``batched:`` / ``fallback:`` lines of a simulate summary."""
+    if stats.batched_windows:
+        scalar = total_cycles - stats.batched_cycles
+        print(f"batched:  {stats.batched_cycles} cycles in "
+              f"{stats.batched_windows} windows "
+              f"({stats.batched_cycles / total_cycles:.1%} of "
+              f"the run), {scalar} scalar")
+    if stats.batch_fallback_reason:
+        print(f"fallback: {stats.batch_fallback_reason}")
+
+
 def _cmd_simulate_scenario(args) -> int:
     from repro.core.grid import Grid
     from repro.observe import ops_per_cycle_report
@@ -511,9 +523,7 @@ def _cmd_simulate_scenario(args) -> int:
           f"wind={scenario.wind}, batch={scenario.batch}")
     print(f"cycles:   {result.total_cycles} "
           f"({result.cells_per_cycle:.3f} cells/cycle)")
-    stats = result.stats
-    if stats.batch_fallback_reason:
-        print(f"fallback: {stats.batch_fallback_reason}")
+    _print_batched_split(result.stats, result.total_cycles)
     print(report.summary())
     status = "OK (bitwise)" if diff == 0.0 else f"FAIL (max diff {diff:g})"
     print(f"reference: {status}")
@@ -610,14 +620,7 @@ def _cmd_simulate(args) -> int:
         print(f"grid:     {grid.interior_shape}")
         print(f"cycles:   {result.total_cycles} "
               f"({result.cells_per_cycle:.3f} cells/cycle)")
-        if stats.batched_windows:
-            scalar = result.total_cycles - stats.batched_cycles
-            print(f"batched:  {stats.batched_cycles} cycles in "
-                  f"{stats.batched_windows} windows "
-                  f"({stats.batched_cycles / result.total_cycles:.1%} of "
-                  f"the run), {scalar} scalar")
-        if stats.batch_fallback_reason:
-            print(f"fallback: {stats.batch_fallback_reason}")
+        _print_batched_split(stats, result.total_cycles)
     print(f"wall:     {elapsed:.2f} s")
     return 0
 

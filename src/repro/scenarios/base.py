@@ -204,9 +204,10 @@ class ScenarioKernel:
     #: Per-cell operation model (drives derived ops/cycle and GFLOPS).
     op_model: OpModel
     #: True when the steady-state periodicity proof applies, so batched
-    #: windows actually run; kernels built on data-dependent stages veto
-    #: it (and the conformance harness asserts that the veto is
-    #: recorded as a batch fallback).
+    #: windows actually run — the conformance harness then asserts the
+    #: run commits windows and records no fallback.  A kernel built on
+    #: data-dependent stages leaves it False, and the harness asserts
+    #: its veto is recorded as a batch fallback instead.
     batch_admissible: bool = False
 
     def reference(self, fields: FieldSet) -> SourceSet:

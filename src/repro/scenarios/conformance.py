@@ -16,9 +16,11 @@ Per scenario, five checks run on the grid family's small shape:
     Batched exact equals forced-scalar: outputs, cycle counts, and the
     full stats dict minus the batching bookkeeping keys
     (``batched_windows``/``batched_cycles``/``batch_fallback_reason``).
-    Kernels whose stages are data-dependent (``batch_admissible =
-    False``) must additionally *record a fallback reason* — a silent
-    pretend-batched run would be a correctness bug, not a feature.
+    Never silently, in either direction: an admissible kernel
+    (``batch_admissible = True``, every kernel in the suite) must
+    commit at least one batched window and record no fallback, and a
+    kernel with data-dependent stages (``batch_admissible = False``)
+    must record why it fell back.
 ``fault``
     One injected fault plan per scenario, identical seed, run under
     forced-scalar and batched execution: both legs must end in the same
@@ -190,8 +192,15 @@ def run_conformance(scenario: Scenario, *, grid: Grid | None = None,
                         f"{batched.total_cycles})")
     if _stats_minus_batching(scalar) != _stats_minus_batching(batched):
         problems.append("stats differ beyond batching bookkeeping")
-    if not scenario.kernel.batch_admissible \
-            and not batched.stats.batch_fallback_reason:
+    reason = batched.stats.batch_fallback_reason
+    if scenario.kernel.batch_admissible:
+        if reason:
+            problems.append(f"admissible kernel fell back to scalar "
+                            f"({reason})")
+        if not batched.stats.batched_windows:
+            problems.append("admissible kernel committed no batched "
+                            "window")
+    elif not reason:
         problems.append("data-dependent kernel batched without recording "
                         "a fallback reason")
     record("batched", not problems, "; ".join(problems))

@@ -12,7 +12,7 @@ conformance harness can drive every kernel identically.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.buoyancy import (
     BUOYANCY_OPS_PER_CELL,
@@ -36,14 +36,13 @@ from repro.kernel.diffusion import (
     diffusion_boundary_from_window,
     diffusion_from_window,
 )
-from repro.kernel.generic import run_stencil_kernel
+from repro.kernel.generic import WindowOp, run_stencil_kernel
 from repro.kernel.simulate import simulate_kernel
 from repro.lint.spec import SpecStage
 from repro.scenarios.base import OpModel, ScenarioKernel
 
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
-    from repro.shiftbuffer.general import GeneralWindow
 
 __all__ = [
     "AdvectionKernel",
@@ -51,11 +50,6 @@ __all__ = [
     "BuoyancyKernel",
     "build_stencil_structural_graph",
 ]
-
-#: A per-window result list, as run_stencil_kernel consumes.
-_WindowFn = Callable[["GeneralWindow"],
-                     Sequence[tuple[tuple[int, int, int], float]]]
-
 
 def build_stencil_structural_graph(grid: Grid, *, name: str,
                                    stream_depth: int = 4) -> DataflowGraph:
@@ -135,19 +129,19 @@ class _StencilKernel(ScenarioKernel):
 
     Runs each of the three wind fields through its own
     ``run_stencil_kernel`` pass (the FPGA design would instantiate one
-    pipeline per field); stats merge across the three runs.  Both
-    stages of that machine are data-dependent (``unit_rate = False``,
-    no steady-state signature), so batched windows fall back to the
-    scalar loop by design — the conformance harness asserts the fallback
-    is recorded rather than pretending a speedup exists.
+    pipeline per field); stats merge across the three runs.  The
+    machine's stages have closed-form steady-state signatures (the
+    shift buffer's fill position, the window op's height-only burst),
+    so batched windows actually run — and the conformance harness
+    asserts they do.
     """
 
-    batch_admissible = False
+    batch_admissible = True
     #: Streams carry window bursts of up to three results (interior +
     #: both one-sided boundary cells at nz == 3).
     stream_depth = 4
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
+    def window_op(self, grid: Grid) -> WindowOp:
         raise NotImplementedError
 
     def run(self, fields: FieldSet, *, batched: bool = True,
@@ -155,12 +149,12 @@ class _StencilKernel(ScenarioKernel):
             ) -> tuple[SourceSet, RunStats, int]:
         grid = fields.grid
         out = SourceSet.zeros(grid)
-        fn = self.window_fn(grid)
+        op = self.window_op(grid)
         all_stats: list[RunStats] = []
         total_cycles = 0
         for name, target in (("u", out.su), ("v", out.sv), ("w", out.sw)):
             stats = run_stencil_kernel(
-                getattr(fields, name), fn, target,
+                getattr(fields, name), op, target,
                 stream_depth=self.stream_depth, batched=batched,
                 fault_plan=fault_plan)
             all_stats.append(stats)
@@ -182,20 +176,6 @@ class _StencilKernel(ScenarioKernel):
                           probability=0.01, count=1),)
 
 
-def _with_boundaries(center: tuple[int, int, int], nz: int,
-                     interior: float, bottom: Callable[[], float],
-                     top: Callable[[], float],
-                     ) -> list[tuple[tuple[int, int, int], float]]:
-    """Assemble one window's burst: interior cell plus boundary cells."""
-    cx, cy, cz = center
-    results = [((cx, cy, cz), interior)]
-    if cz == 1:
-        results.append(((cx, cy, 0), bottom()))
-    if cz == nz - 2:
-        results.append(((cx, cy, nz - 1), top()))
-    return results
-
-
 class DiffusionKernel(_StencilKernel):
     """7-point constant-viscosity diffusion (MONC's other big stencil)."""
 
@@ -208,20 +188,15 @@ class DiffusionKernel(_StencilKernel):
     def reference(self, fields: FieldSet) -> SourceSet:
         return diffuse_reference(fields, nu=self.nu)
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
+    def window_op(self, grid: Grid) -> WindowOp:
         nu = self.nu
-
-        def fn(window: "GeneralWindow"):
-            return _with_boundaries(
-                window.center, grid.nz,
-                diffusion_from_window(window, grid, nu),
-                lambda: diffusion_boundary_from_window(
-                    window, grid, nu, top=False),
-                lambda: diffusion_boundary_from_window(
-                    window, grid, nu, top=True),
-            )
-
-        return fn
+        return WindowOp(
+            interior=lambda w: diffusion_from_window(w, grid, nu),
+            bottom=lambda w: diffusion_boundary_from_window(
+                w, grid, nu, top=False),
+            top=lambda w: diffusion_boundary_from_window(
+                w, grid, nu, top=True),
+        )
 
 
 class BuoyancyKernel(_StencilKernel):
@@ -236,17 +211,11 @@ class BuoyancyKernel(_StencilKernel):
     def reference(self, fields: FieldSet) -> SourceSet:
         return buoyancy_reference(fields, self.alpha)
 
-    def window_fn(self, grid: Grid) -> _WindowFn:
+    def window_op(self, grid: Grid) -> WindowOp:
         alpha = self.alpha
-
-        def fn(window: "GeneralWindow"):
-            return _with_boundaries(
-                window.center, grid.nz,
-                buoyancy_from_window(window, alpha),
-                lambda: buoyancy_boundary_from_window(
-                    window, alpha, top=False),
-                lambda: buoyancy_boundary_from_window(
-                    window, alpha, top=True),
-            )
-
-        return fn
+        return WindowOp(
+            interior=lambda w: buoyancy_from_window(w, alpha),
+            bottom=lambda w: buoyancy_boundary_from_window(
+                w, alpha, top=False),
+            top=lambda w: buoyancy_boundary_from_window(w, alpha, top=True),
+        )

@@ -38,6 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShiftBufferError
+from repro.shiftbuffer.general import gather_state
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
@@ -291,10 +292,10 @@ class ShiftBuffer3D:
         ``backing`` must be the full ``(nx, ny, nz)`` block whose values
         are being streamed — the *same* values previous :meth:`feed` calls
         supplied, in streaming order.  The buffer jumps straight to the
-        state it would reach after ``count`` more scalar feeds: every
-        shift-register slot holds a value at a closed-form position of the
-        backing block, so the state is gathered rather than simulated, and
-        the memory-port tracker replays its per-feed pattern in bulk.
+        state it would reach after ``count`` more scalar feeds
+        (:func:`~repro.shiftbuffer.general.gather_state`, shared with the
+        radius-r buffer), and the memory-port tracker replays its per-feed
+        pattern in bulk.
 
         Returns ``(first, stop)``, the half-open range of flat emission
         indices (see :func:`emission_center`) the skipped feeds produced;
@@ -316,54 +317,10 @@ class ShiftBuffer3D:
         new_fed = self._fed + count
         stop = self._emissions_before(new_fed)
         self.tracker.record_steady(self._access_pattern(), count)
-
-        nx, ny, nz = self.nx, self.ny, self.nz
-        x, rest = divmod(new_fed, ny * nz)
-        y, z = divmod(rest, nz)
-
-        # Slab slice s holds, at each (y', z'), the value of plane
-        # (x - s) where the streaming front has passed this plane and
-        # (x - 1 - s) where it has not; slots the stream never reached
-        # that deep keep their prior contents.
-        yy, zz = np.meshgrid(np.arange(ny), np.arange(nz), indexing="ij")
-        passed = (yy * nz + zz) < (y * nz + z)
-        for s in range(3):
-            plane = np.where(passed, x - s, x - 1 - s)
-            valid = (plane >= 0) & (plane < nx)
-            self._slab[s][valid] = backing[plane[valid], yy[valid], zz[valid]]
-
-        # Line buffers slide over global row index g = plane * ny + row,
-        # independently per height: depth dy holds the value that entered
-        # dy feeds-at-this-height ago, i.e. row g - dy (wrapping into the
-        # previous plane's last rows at plane seams).
-        heights = np.arange(nz)
-        last_row = np.where(heights < z, x * ny + y,
-                            x * ny + y - 1)  # last feed at each height
-        for s in range(3):
-            for dy in range(3):
-                g = last_row - dy
-                plane_idx, row_idx = np.divmod(g, ny)
-                src_plane = plane_idx - s
-                valid = (g >= 0) & (src_plane >= 0) & (src_plane < nx)
-                self._lines[s, dy, valid] = backing[
-                    src_plane[valid], row_idx[valid], heights[valid]]
-
-        # Register windows: column dz was loaded by the feed dz steps ago.
-        for dz in range(3):
-            f = new_fed - 1 - dz
-            if f < 0:
-                continue
-            fx, frest = divmod(f, ny * nz)
-            fy, fz = divmod(frest, nz)
-            for s in range(3):
-                for dy in range(3):
-                    g = fx * ny + fy - dy
-                    if g < 0:
-                        continue
-                    gx, gy = divmod(g, ny)
-                    if 0 <= gx - s < nx:
-                        self._windows[s, dy, dz] = backing[gx - s, gy, fz]
-
+        gather_state(self._slab, self._lines, self._windows, backing,
+                     new_fed)
+        x, rest = divmod(new_fed, self.ny * self.nz)
+        y, z = divmod(rest, self.nz)
         self._fed = new_fed
         self._x, self._y, self._z = x, y, z
         return first, stop

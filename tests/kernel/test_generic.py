@@ -11,26 +11,18 @@ from repro.kernel.diffusion import (
     diffusion_boundary_from_window,
     diffusion_from_window,
 )
-from repro.kernel.generic import run_stencil_kernel
+from repro.kernel.generic import WindowOp, run_stencil_kernel
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 
-def diffusion_fn(grid: Grid, nu: float):
-    """Window function computing diffusion incl. vertical boundaries."""
-
-    def fn(window):
-        cx, cy, cz = window.center
-        results = [((cx, cy, cz), diffusion_from_window(window, grid, nu))]
-        if cz == 1:
-            results.append(((cx, cy, 0), diffusion_boundary_from_window(
-                window, grid, nu, top=False)))
-        if cz == grid.nz - 2:
-            results.append(((cx, cy, grid.nz - 1),
-                            diffusion_boundary_from_window(
-                                window, grid, nu, top=True)))
-        return results
-
-    return fn
+def diffusion_fn(grid: Grid, nu: float) -> WindowOp:
+    """Window op computing diffusion incl. vertical boundaries."""
+    return WindowOp(
+        interior=lambda w: diffusion_from_window(w, grid, nu),
+        bottom=lambda w: diffusion_boundary_from_window(
+            w, grid, nu, top=False),
+        top=lambda w: diffusion_boundary_from_window(w, grid, nu, top=True),
+    )
 
 
 class TestDiffusionCycleAccurate:
@@ -70,11 +62,10 @@ class TestDiffusionCycleAccurate:
 
 class TestGenericMechanics:
     def test_identity_stencil(self):
-        """fn returning the centre value copies the interior."""
+        """An op returning the centre value copies the interior."""
         block = np.arange(4 * 5 * 3, dtype=float).reshape(4, 5, 3)
         out = np.zeros((2, 3, 3))
-        run_stencil_kernel(
-            block, lambda w: [(w.center, w.at(0, 0, 0))], out)
+        run_stencil_kernel(block, WindowOp(lambda w: w.at(0, 0, 0)), out)
         np.testing.assert_array_equal(out[:, :, 1], block[1:-1, 1:-1, 1])
 
     def test_radius_two(self):
@@ -83,10 +74,9 @@ class TestGenericMechanics:
         out = np.zeros((2, 2, 6))
 
         def mean5(window):
-            values = [window.at(di, 0, 0) for di in range(-2, 3)]
-            return [(window.center, sum(values) / 5.0)]
+            return sum(window.at(di, 0, 0) for di in range(-2, 3)) / 5.0
 
-        run_stencil_kernel(block, mean5, out, radius=2)
+        run_stencil_kernel(block, WindowOp(mean5), out, radius=2)
         cx, cy, cz = 2, 2, 2  # a centre the buffer emits
         expected = block[0:5, cy, cz].sum() / 5.0
         assert out[0, 0, 2] == pytest.approx(expected)
@@ -94,9 +84,17 @@ class TestGenericMechanics:
     def test_output_shape_validated(self):
         block = np.zeros((4, 4, 4))
         with pytest.raises(ConfigurationError):
-            run_stencil_kernel(block, lambda w: [], np.zeros((3, 3, 4)))
+            run_stencil_kernel(block, WindowOp(lambda w: 0.0),
+                               np.zeros((3, 3, 4)))
 
     def test_block_rank_validated(self):
         with pytest.raises(ConfigurationError):
-            run_stencil_kernel(np.zeros((4, 4)), lambda w: [],
+            run_stencil_kernel(np.zeros((4, 4)), WindowOp(lambda w: 0.0),
                                np.zeros((2, 2)))
+
+    def test_bare_window_function_rejected(self):
+        """The window contract is a WindowOp, not a free function."""
+        with pytest.raises(ConfigurationError, match="WindowOp"):
+            run_stencil_kernel(np.zeros((4, 4, 4)),
+                               lambda w: [(w.center, 0.0)],
+                               np.zeros((2, 2, 4)))

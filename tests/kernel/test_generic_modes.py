@@ -1,11 +1,10 @@
 """Cross-mode behaviour of the generic stencil machine.
 
-The shift-buffer and window-compute stages are data-dependent
-(``unit_rate = False``, no steady-state signature), so batched exact
-execution must fall back to the scalar loop — recording why — and the
-fallen-back runs must stay byte-for-byte identical to forced-scalar
-execution.  These tests pin that contract for both kernels built on the
-machine.
+The shift-buffer and window-compute stages fingerprint their control
+state (the buffer's fill position, the window op's height-only burst),
+so batched exact execution genuinely batches both kernels built on the
+machine — and the batched runs must stay byte-for-byte identical to
+forced-scalar execution and to the NumPy references.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ def run_field(kernel, fields, name, *, batched=True):
     grid = fields.grid
     out = np.zeros(grid.interior_shape)
     stats = run_stencil_kernel(
-        getattr(fields, name), kernel.window_fn(grid), out,
+        getattr(fields, name), kernel.window_op(grid), out,
         batched=batched)
     return out, stats
 
@@ -35,19 +34,28 @@ def run_field(kernel, fields, name, *, batched=True):
     (BuoyancyKernel(), buoyancy_reference),
 ])
 class TestGenericKernelModes:
-    def test_ff_signature_veto_is_declared(self, kernel, reference):
-        """Both stages opt out of steady-state detection entirely."""
+    def test_stages_fingerprint_and_batch(self, kernel, reference):
+        """Neither stage vetoes steady-state detection, and a run
+        commits batched windows with no fallback."""
         from repro.kernel.generic import (
             GeneralShiftBufferStage,
             WindowComputeStage,
         )
 
+        grid = Grid(nx=4, ny=5, nz=6)
         shift = GeneralShiftBufferStage("s", 4, 4, 4)
-        compute = WindowComputeStage("c", lambda w: [])
+        compute = WindowComputeStage("c", kernel.window_op(grid), nz=6)
         for stage in (shift, compute):
             assert stage.unit_rate is False
-            assert stage.ff_signature(0) is None
-            assert stage.ff_signature(10_000) is None
+            assert stage.ff_signature(0) is not None
+            assert stage.ff_signature(10_000) is not None
+        assert shift.ff_signature(0)[-1] == "prime"
+
+        fields = random_wind(grid, seed=5)
+        _out, stats = run_field(kernel, fields, "u")
+        assert stats.batch_fallback_reason is None
+        assert stats.batched_windows > 0
+        assert 0 < stats.batched_cycles < stats.cycles
 
     def test_batched_exact_matches_scalar_byte_for_byte(self, kernel,
                                                         reference):
@@ -63,9 +71,8 @@ class TestGenericKernelModes:
             np.testing.assert_array_equal(scalar, batched)
             np.testing.assert_array_equal(scalar, ref)
             assert s_stats.cycles == b_stats.cycles
-            # The fallback is recorded, and everything else matches.
-            assert b_stats.batch_fallback_reason
-            assert b_stats.batched_windows == 0
+            assert b_stats.batch_fallback_reason is None
+            assert b_stats.batched_windows > 0
             s_dict = s_stats.to_dict()
             b_dict = b_stats.to_dict()
             for key in STATS_BATCH_KEYS:

@@ -2,8 +2,9 @@
 
 This is the suite's enforcement arm: every registered scenario must be
 bit-identical between forced-scalar and batched exact execution (and
-against the NumPy reference), record why it did not batch when its
-kernel is data-dependent, agree under an injected fault plan, pass
+against the NumPy reference), actually batch when its kernel is
+admissible (or record why not when it is data-dependent), agree under
+an injected fault plan, pass
 lint, and carry a static deadlock-freedom proof.  A scenario that fails
 any leg cannot ship.
 """
@@ -63,14 +64,13 @@ class TestHarnessMechanics:
                 pass
         assert first.trace_key() == second.trace_key()
 
-    def test_inadmissible_kernels_record_a_fallback(self):
-        """The harness asserts the fallback is recorded; double-check
-        directly."""
+    def test_stencil_kernels_batch(self):
+        """The general stencil machine batches; double-check directly."""
         scenario = get("diffusion")
         result = scenario.run(scenario.small_grid())
-        assert not scenario.kernel.batch_admissible
-        assert "vetoed steady-state" in result.stats.batch_fallback_reason
-        assert result.stats.batched_windows == 0
+        assert scenario.kernel.batch_admissible
+        assert not result.stats.batch_fallback_reason
+        assert result.stats.batched_windows > 0
 
     def test_advection_batching_is_admissible(self):
         scenario = get("pw-advection")
@@ -80,20 +80,37 @@ class TestHarnessMechanics:
         assert result.stats.batched_windows > 0
 
     def test_silent_fallback_fails_the_batched_check(self, monkeypatch):
-        """A data-dependent kernel that stops recording its fallback is
-        a conformance failure, not a pass."""
+        """A kernel declared data-dependent that batches without
+        recording a fallback is a conformance failure, not a pass."""
         scenario = get("buoyancy")
-        kernel_cls = type(scenario.kernel)
-        real_run = kernel_cls.run
-
-        def silent_run(self, fields, **kwargs):
-            sources, stats, cycles = real_run(self, fields, **kwargs)
-            return (sources,
-                    dataclasses.replace(stats, batch_fallback_reason=None),
-                    cycles)
-
-        monkeypatch.setattr(kernel_cls, "run", silent_run)
+        monkeypatch.setattr(type(scenario.kernel), "batch_admissible",
+                            False)
         entry = run_conformance(scenario)
         (batched,) = [r for r in entry.results if r.check == "batched"]
         assert not batched.ok
         assert "without recording a fallback reason" in batched.detail
+
+    @pytest.mark.parametrize("name", ["buoyancy", "pw-advection"])
+    def test_admissible_fallback_fails_the_batched_check(self, monkeypatch,
+                                                         name):
+        """An admissible kernel that falls back to scalar ticking is a
+        conformance failure too: never silently, in either direction."""
+        scenario = get(name)
+        kernel_cls = type(scenario.kernel)
+        real_run = kernel_cls.run
+
+        def falling_back_run(self, fields, **kwargs):
+            sources, stats, cycles = real_run(self, fields, **kwargs)
+            if kwargs.get("batched", True):
+                stats = dataclasses.replace(
+                    stats, batched_windows=0, batched_cycles=0,
+                    batch_fallback_reason="stage 'shift' vetoed "
+                                          "steady-state detection")
+            return sources, stats, cycles
+
+        monkeypatch.setattr(kernel_cls, "run", falling_back_run)
+        entry = run_conformance(scenario)
+        (batched,) = [r for r in entry.results if r.check == "batched"]
+        assert not batched.ok
+        assert "admissible kernel fell back to scalar" in batched.detail
+        assert "committed no batched window" in batched.detail
