@@ -210,10 +210,19 @@ class GeneralShiftBufferStage(Stage):
             )
         self._backing = None if backing is None else np.ascontiguousarray(
             backing, dtype=float)
+        #: The backing's bit patterns in stream order, for :meth:`_track`.
+        self._bits = None if backing is None \
+            else self._backing.reshape(-1).view(np.int64)
 
     def fire(self, cycle: int, inputs: Mapping[str, list]):
         (value,) = inputs["in"]
-        windows = self.buffer.feed(float(value))
+        value = float(value)
+        if self._backing is not None:
+            fed = self.buffer.fed
+            if fed >= self._bits.size or \
+                    np.float64(value).view(np.int64) != self._bits[fed]:
+                self._backing = None  # see _track
+        windows = self.buffer.feed(value)
         return {"out": windows} if windows else {}
 
     def ff_signature(self, cycle: int) -> tuple:
@@ -234,13 +243,18 @@ class GeneralShiftBufferStage(Stage):
         stop = first if buffer.fed < first else buffer.expected_feeds
         return min(want, stop - buffer.fed)
 
-    def _continues(self, backing: np.ndarray, bulk: Bulk) -> bool:
-        """True when ``bulk`` is the backing block's next values, bitwise."""
-        values = np.asarray(bulk.materialize(), dtype=float)
+    def _track(self, values: np.ndarray) -> None:
+        """Drop the backing for good unless ``values`` continue it.
+
+        The backing stays only while every value fed so far is the
+        block's, bitwise: after one off-block word (a word dropped or
+        corrupted upstream) the registers hold history the block cannot
+        reproduce, even where later input matches it again.
+        """
         fed = self.buffer.fed
-        expected = backing.reshape(-1)[fed:fed + len(values)]
-        return np.array_equal(values.view(np.int64),
-                              expected.view(np.int64))
+        if not np.array_equal(values.view(np.int64),
+                              self._bits[fed:fed + len(values)]):
+            self._backing = None
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -249,10 +263,12 @@ class GeneralShiftBufferStage(Stage):
                 f"shift stage {self.name!r}: batched window consumed "
                 f"{len(inputs.get('in', ()))} values for {count} firings"
             )
-        # Off-block input (a word dropped upstream shifts the stream)
-        # takes the exact per-firing loop: identical to scalar ticking.
+        # Off-block input takes the exact per-firing loop, identical to
+        # scalar ticking, for the rest of the run.
+        if self._backing is not None:
+            self._track(np.asarray(inputs["in"].materialize(), dtype=float))
         backing = self._backing
-        if backing is None or not self._continues(backing, inputs["in"]):
+        if backing is None:
             return super().fire_bulk(count, inputs, cycle)
         first, stop = self.buffer.feed_bulk(count, backing)
         return UniformFireResult(

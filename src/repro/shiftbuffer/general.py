@@ -24,7 +24,6 @@ feed_bulk`) while ``feed`` stays the real register machine.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -342,29 +341,9 @@ class GeneralShiftBuffer:
             center=(int(cx), int(cy), int(cz)), radius=r)
 
     def feed_block(self, block: np.ndarray) -> list[GeneralWindow]:
-        """Stream a whole block; return every full window.
-
-        On a fresh buffer the state advances analytically
-        (:meth:`feed_bulk`) and every window is cut from a
-        ``sliding_window_view`` of the block — identical to the scalar
-        loop.  A partly fed buffer keeps scalar feeds.
-        """
+        """Stream a whole block; return every full window."""
         self._check_block_shape(block)
-        if self._fed != 0:
-            emitted: list[GeneralWindow] = []
-            for value in block.reshape(-1):
-                emitted.extend(self.feed(float(value)))
-            return emitted
-
-        block = np.ascontiguousarray(block, dtype=float)
-        first, stop = self.feed_bulk(self.expected_feeds, block)
-        r = self.radius
-        cx, cy, cz = self.emission_centers(first, stop)
-        view = sliding_window_view(block, (self.side,) * 3)
-        raws = view[cx - r, cy - r, cz - r][:, ::-1, ::-1, ::-1]
-        return [
-            GeneralWindow(raw=raws[i],
-                          center=(int(cx[i]), int(cy[i]), int(cz[i])),
-                          radius=r)
-            for i in range(stop - first)
-        ]
+        emitted: list[GeneralWindow] = []
+        for value in block.reshape(-1):
+            emitted.extend(self.feed(float(value)))
+        return emitted

@@ -6,7 +6,7 @@ scalar feeds equals the scalar feeds, register for register and port
 report for port report), whole ``run_stencil_kernel`` passes (batched
 exact equals ``batched=False``, outputs and stats, for the suite's
 window ops and a radius-2 one), and faulted passes (same typed error,
-same fault trace).  The :class:`WindowOp` contract guard is pinned
+same fault trace; a dropped word keeps the rest of the run scalar).  The :class:`WindowOp` contract guard is pinned
 too: a rule that is not elementwise fails loudly on the batched path.
 """
 
@@ -158,6 +158,51 @@ def test_faulted_runs_agree(data, name, kind, stream, probability, seed):
         except (FaultError, DataflowError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         legs.append((out, error, plan.trace_key()))
+    (s_out, s_err, s_trace), (b_out, b_err, b_trace) = legs
+    assert s_trace == b_trace
+    assert s_err == b_err
+    np.testing.assert_array_equal(s_out, b_out)
+
+
+def _random_head_block():
+    """Two random planes, then constant; words 0 and 1 are equal, so
+    the first scalar feed still matches after word 0 is dropped."""
+    block = np.full((14, 5, 5), 0.75)
+    block[:2] = np.random.default_rng(3).normal(size=(2, 5, 5))
+    block[0, 0, 0] = block[0, 0, 1]
+    return block
+
+
+def _one_odd_word_block():
+    """Constant but for word 81, next to where seed 131 drops word 80,
+    so only scalar firings between batched windows see the shift."""
+    block = np.full((14, 5, 5), 0.75)
+    block[3, 1, 1] = -1.0
+    return block
+
+
+@pytest.mark.parametrize("make_block, probability, seed", [
+    (_random_head_block, 1.0, 0),
+    (_one_odd_word_block, 0.01, 131),
+], ids=["seen-by-a-window", "seen-by-a-scalar-firing"])
+def test_dropped_word_keeps_the_run_scalar(make_block, probability, seed):
+    """A word dropped upstream shifts the stream for good.  Once the
+    shifted input runs into constant cells it matches the block again,
+    but the buffer's history is still shifted, so the stage must not
+    re-seed its registers from the block, whichever path (a batched
+    window or a scalar firing) first saw the shift."""
+    block = make_block()
+    _radius, op = OPS["diffusion"]
+    legs = []
+    for batched in (False, True):
+        plan = FaultPlan([FaultSpec("fifo", "drop",
+                                    match="read.out->shift.in",
+                                    probability=probability)], seed=seed)
+        out = np.zeros((12, 3, 5))
+        with pytest.raises(FaultError, match="lost in flight") as error:
+            run_stencil_kernel(block, op, out, batched=batched,
+                               fault_plan=plan)
+        legs.append((out, str(error.value), plan.trace_key()))
     (s_out, s_err, s_trace), (b_out, b_err, b_trace) = legs
     assert s_trace == b_trace
     assert s_err == b_err

@@ -125,34 +125,3 @@ def test_property_random_blocks(radius, extra, seed):
         cx, cy, cz = w.center
         assert w.at(0, 0, 0) == block[cx, cy, cz]
         assert w.at(-radius, radius, 0) == block[cx - radius, cy + radius, cz]
-
-
-class TestAnalyticFeedBlock:
-    @pytest.mark.parametrize("radius", [1, 2])
-    def test_fresh_buffer_matches_scalar_feeds(self, radius):
-        """feed_block's analytic path emits exactly the scalar loop's
-        windows and leaves the same registers and port reports."""
-        side = 2 * radius + 1
-        nx, ny, nz = side + 2, side + 1, side + 3
-        block = np.random.default_rng(radius).normal(size=(nx, ny, nz))
-        analytic = GeneralShiftBuffer(nx, ny, nz, radius=radius)
-        scalar = GeneralShiftBuffer(nx, ny, nz, radius=radius)
-        windows = analytic.feed_block(block)
-        expected = [w for value in block.reshape(-1)
-                    for w in scalar.feed(float(value))]
-        assert [w.center for w in windows] == [w.center for w in expected]
-        for got, want in zip(windows, expected):
-            np.testing.assert_array_equal(got.raw, want.raw)
-        np.testing.assert_array_equal(analytic._windows, scalar._windows)
-        assert analytic.fed == scalar.fed
-        assert {n: vars(r) for n, r in analytic.tracker.reports().items()} \
-            == {n: vars(r) for n, r in scalar.tracker.reports().items()}
-
-    def test_partly_fed_buffer_keeps_scalar_feeds(self):
-        """A buffer already fed mid-block streams the block through the
-        register machine (here: overruns its block like feed would)."""
-        buf = GeneralShiftBuffer(3, 3, 3, radius=1)
-        buf.feed(0.0)
-        with pytest.raises(ShiftBufferError):
-            buf.feed_block(labelled(3, 3, 3))
-        assert buf.fed == 27
