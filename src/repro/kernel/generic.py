@@ -180,7 +180,8 @@ class GeneralShiftBufferStage(Stage):
 
     ``backing`` (the streamed block) unlocks the batched firing path:
     the buffer jumps ahead analytically and emissions travel as a
-    :class:`WindowRunBulk` instead of materialised windows.
+    :class:`WindowRunBulk` instead of materialised windows.  It serves
+    only while every value consumed is the block's (:meth:`_track`).
     """
 
     input_ports = ("in",)
