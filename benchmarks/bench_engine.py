@@ -1,11 +1,11 @@
 """Perf-regression harness for the engine's batched exact execution.
 
-Runs the full Fig. 2 kernel simulation and a diffusion pass on the
-generic stencil machine on the same grid two ways each — the
-forced-scalar exact loop (the baseline) and batched exact execution
-(the default) — verifies both are bit-for-bit identical (cycle counts,
-per-stage fires and stalls, output arrays), and records wall times and
-the speedups to ``benchmarks/BENCH_dataflow.json``.
+Runs the full Fig. 2 kernel simulation, the same kernel over four
+Y-chunks, and a diffusion pass on the generic stencil machine, two ways
+each — the forced-scalar exact loop (the baseline) and batched exact
+execution (the default) — verifies both are bit-for-bit identical
+(cycle counts, per-stage fires and stalls, output arrays), and records
+wall times and the speedups to ``benchmarks/BENCH_dataflow.json``.
 
 Usage::
 
@@ -14,14 +14,19 @@ Usage::
         --nz 32 --min-batched-speedup 5
 
 Exit status is non-zero if any run disagrees with the scalar baseline
-or either leg's batched exact speedup falls below the floor
+or any leg's batched exact speedup falls below the floor
 (``--min-batched-speedup``, default 10x on the 64^3 grid).  ``--smoke``
 shrinks the grid to 32^3 and relaxes the gates for CI: the floor is 5x
 there, which 32^3 clears with headroom while 16^3 would not (too little
-steady state to amortise the detection warm-up).
+steady state to amortise the one plane per chunk that is ticked scalar
+to detect the period).
 
-The diffusion leg streams one field through ``run_stencil_kernel``
-with the scenario suite's diffusion ``WindowOp``.
+The multi-chunk leg runs an ``nx x 4ny x nz`` grid at chunk width
+``ny`` (64x256x64 with chunk 64 by default, 32x128x32 with chunk 32
+under ``--smoke``): every chunk restarts the pipeline, so it measures
+the prime and ramp-down each chunk pays.  The diffusion leg streams one
+field through ``run_stencil_kernel`` with the scenario suite's
+diffusion ``WindowOp``.
 
 A resilient run arms the checkpoint/restart machinery with an empty
 fault plan and gates its fault-free overhead against the plain batched
@@ -62,6 +67,26 @@ def run_once(config, fields, **kwargs):
     start = time.perf_counter()
     result = simulate_kernel(config, fields, **kwargs)
     return result, time.perf_counter() - start
+
+
+def kernel_mismatches(leg, scalar, batched):
+    """Where a batched kernel run differs from its scalar reference."""
+    errors = []
+    agg_scalar = scalar.aggregate_stats()
+    agg_batched = batched.aggregate_stats()
+    if batched.total_cycles != scalar.total_cycles:
+        errors.append(f"{leg}: batched exact cycle count differs: "
+                      f"{scalar.total_cycles} vs {batched.total_cycles}")
+    if agg_batched.fires != agg_scalar.fires:
+        errors.append(f"{leg}: batched exact per-stage fire counts differ")
+    if agg_batched.stalls != agg_scalar.stalls:
+        errors.append(f"{leg}: batched exact per-stage stall counts differ")
+    for name in ("su", "sv", "sw"):
+        if not np.array_equal(getattr(scalar.sources, name),
+                              getattr(batched.sources, name)):
+            errors.append(f"{leg}: {name} not bit-identical under batched "
+                          f"exact")
+    return errors
 
 
 def run_diffusion(grid, block, **kwargs):
@@ -122,6 +147,15 @@ def main(argv=None) -> int:
 
     scalar, t_scalar = run_once(config, fields, batched=False)
     batched, t_batched = run_once(config, fields, batched=True)
+    multi_grid = Grid(nx=args.nx, ny=4 * args.ny, nz=args.nz)
+    multi_fields = random_wind(multi_grid, seed=args.seed, magnitude=2.0)
+    multi_config = KernelConfig(grid=multi_grid, chunk_width=args.ny)
+    multi_label = (f"{args.nx}x{4 * args.ny}x{args.nz}"
+                   f"-chunk{multi_config.chunk_width}")
+    multi_scalar, t_multi_scalar = run_once(multi_config, multi_fields,
+                                            batched=False)
+    multi_batched, t_multi_batched = run_once(multi_config, multi_fields,
+                                              batched=True)
     diff_scalar, diff_s_stats, t_diff_scalar = run_diffusion(
         grid, fields.u, batched=False)
     diff_batched, diff_b_stats, t_diff_batched = run_diffusion(
@@ -152,20 +186,14 @@ def main(argv=None) -> int:
 
     # The speedup is only meaningful if both runs are *the same
     # machine*; the scalar per-cycle loop is the reference.
-    errors = []
-    agg_scalar = scalar.aggregate_stats()
+    errors = (kernel_mismatches(label, scalar, batched)
+              + kernel_mismatches(multi_label, multi_scalar, multi_batched))
+    if [run.cycles for run in multi_batched.chunk_stats] \
+            != [run.cycles for run in multi_scalar.chunk_stats]:
+        errors.append(f"{multi_label}: per-chunk cycle counts differ")
     agg_batched = batched.aggregate_stats()
-    if batched.total_cycles != scalar.total_cycles:
-        errors.append(f"batched exact cycle count differs: "
-                      f"{scalar.total_cycles} vs {batched.total_cycles}")
-    if agg_batched.fires != agg_scalar.fires:
-        errors.append("batched exact per-stage fire counts differ")
-    if agg_batched.stalls != agg_scalar.stalls:
-        errors.append("batched exact per-stage stall counts differ")
+    agg_multi = multi_batched.aggregate_stats()
     for name in ("su", "sv", "sw"):
-        if not np.array_equal(getattr(scalar.sources, name),
-                              getattr(batched.sources, name)):
-            errors.append(f"{name} not bit-identical under batched exact")
         if not np.array_equal(getattr(scalar.sources, name),
                               getattr(resilient.sources, name)):
             errors.append(f"{name} differs under the resilient path")
@@ -207,6 +235,18 @@ def main(argv=None) -> int:
         extra={"batched": True,
                "batched_windows": agg_batched.batched_windows,
                "batched_cycles": agg_batched.batched_cycles})
+    multi_cells = multi_grid.num_cells
+    rec_multi_scalar = BenchRecord(
+        name=f"kernel-{multi_label}-scalar", wall_seconds=t_multi_scalar,
+        cycles=multi_scalar.total_cycles, cells=multi_cells, mode="exact",
+        extra={"batched": False})
+    rec_multi_batched = BenchRecord(
+        name=f"kernel-{multi_label}-batched", wall_seconds=t_multi_batched,
+        cycles=multi_batched.total_cycles, cells=multi_cells, mode="exact",
+        extra={"batched": True,
+               "batched_windows": agg_multi.batched_windows,
+               "batched_cycles": agg_multi.batched_cycles,
+               "chunks": len(multi_batched.chunk_stats)})
     best_batched = min(batched_times)
     best_resilient = min(resilient_times)
     overhead = (best_resilient / best_batched - 1.0 if best_batched > 0
@@ -239,13 +279,17 @@ def main(argv=None) -> int:
                "batched_cycles": diff_b_stats.batched_cycles})
     suite.add(rec_scalar)
     suite.add(rec_batched)
+    suite.add(rec_multi_scalar)
+    suite.add(rec_multi_batched)
     suite.add(rec_resilient)
     suite.add(rec_observed)
     suite.add(rec_diff_scalar)
     suite.add(rec_diff_batched)
     gain_batched = speedup(rec_scalar, rec_batched)
     gain_diffusion = speedup(rec_diff_scalar, rec_diff_batched)
+    gain_multi = speedup(rec_multi_scalar, rec_multi_batched)
     suite.context["speedup_batched_exact"] = round(gain_batched, 2)
+    suite.context["speedup_multichunk_batched"] = round(gain_multi, 2)
     suite.context["speedup_diffusion_batched"] = round(gain_diffusion, 2)
     suite.context["resilience_overhead"] = round(overhead, 4)
     suite.context["observe_overhead"] = round(observe_overhead, 4)
@@ -255,6 +299,10 @@ def main(argv=None) -> int:
     print(f"\nbatched exact speedup: {gain_batched:.2f}x "
           f"({agg_batched.batched_cycles}/{batched.total_cycles} cycles "
           f"batched in {agg_batched.batched_windows} windows)")
+    print(f"multi-chunk ({multi_label}) batched exact speedup: "
+          f"{gain_multi:.2f}x ({agg_multi.batched_cycles}/"
+          f"{multi_batched.total_cycles} cycles batched in "
+          f"{agg_multi.batched_windows} windows)")
     print(f"diffusion batched exact speedup: {gain_diffusion:.2f}x "
           f"({diff_b_stats.batched_cycles}/{diff_b_stats.cycles} cycles "
           f"batched in {diff_b_stats.batched_windows} windows)")
@@ -266,6 +314,11 @@ def main(argv=None) -> int:
     if gain_batched < args.min_batched_speedup:
         print(f"FAIL: batched exact speedup {gain_batched:.2f}x below "
               f"the {args.min_batched_speedup:.1f}x floor",
+              file=sys.stderr)
+        failed = True
+    if gain_multi < args.min_batched_speedup:
+        print(f"FAIL: multi-chunk batched exact speedup {gain_multi:.2f}x "
+              f"below the {args.min_batched_speedup:.1f}x floor",
               file=sys.stderr)
         failed = True
     if gain_diffusion < args.min_batched_speedup:

@@ -53,7 +53,7 @@ __all__ = ["StallWitness", "PeriodProof", "InterpRun", "interpret",
            "default_tokens"]
 
 #: Distinct control states kept for periodicity detection; mirrors the
-#: engine's ``_FF_TABLE_CAP`` rationale (bound memory on aperiodic runs).
+#: engine's ``_FF_TRAIL_CAP`` rationale (bound memory on aperiodic runs).
 _TABLE_CAP: int = 65_536
 
 #: Interpretations kept by the process-wide memo, least recently used

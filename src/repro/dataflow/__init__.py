@@ -18,7 +18,8 @@ implements exactly that abstraction:
 * :func:`~repro.dataflow.compiled.compile_graph` — the batched-execution
   compiler behind the engine's default exact mode, which lowers a graph
   to topological levels and NumPy control-state vectors and advances
-  proved-uniform windows of whole periods per Python-level step.
+  proved-uniform windows (whole periods plus a recorded tail) per
+  Python-level step.
 """
 
 from repro.dataflow.compiled import CompiledGraph, compile_graph

@@ -6,9 +6,10 @@ from the *exact* side (ROADMAP open item 1): it compiles a graph into a
 static plan — topological levels from the schedule DP in
 :mod:`repro.analyze.schedule`, NumPy vectors for FIFO occupancies,
 credits and stage pipeline fill — and executes provably uniform windows
-of ``W = n × period`` cycles as single batched steps, the same way the
-FPGA executes a whole steady-state window per clock region
-(Zohouri-style wide blocking, applied to the simulator itself).
+of ``W = n × period + k`` cycles as single batched steps, the same way
+the FPGA executes a whole steady-state window per clock region
+(Zohouri-style wide blocking, applied to the simulator itself — its
+prime and ramp-down included).
 
 Correctness model
 -----------------
@@ -17,9 +18,18 @@ periodic over it: the control-state fingerprint at the window start
 matches a fingerprint ``period`` cycles earlier, so a deterministic
 machine must replay those cycles exactly.  The per-period counter deltas
 are then applied ``n`` times at once (vectorised over stages and
-streams) and the data relayed through the graph in bulk.  Everything
-that could make a cycle *observable* is an **event** that bounds the
-window instead of being skipped:
+streams) and the data relayed through the graph in bulk.  When the
+engine found the period on its trail it also holds the orbit — the
+fingerprint and counter snapshot at every offset of the period — so the
+window may run ``k < period`` cycles past its last whole period: the
+counters add the orbit's first-``k``-cycle deltas and every stage
+installs its recorded state at offset ``k``
+(:meth:`~repro.dataflow.stage.Stage.ff_commit`).  A tail stops before
+any stage spends its last unit of supply, so it always ends in a
+recorded state; the machine is fingerprinted once after it and a
+mismatch raises :class:`~repro.errors.DataflowError`.  Everything that
+could make a cycle *observable* is an **event** that bounds the window
+(whole periods and tail alike) instead of being skipped:
 
 * **monitor samples** — a window never covers a cycle a monitor would
   sample; the engine ticks that cycle scalar, then re-enters batching;
@@ -32,7 +42,8 @@ window instead of being skipped:
   window is capped to the provably strike-free push prefix; skipped
   pushes advance the occurrence counters
   (:meth:`~repro.faults.plan.FaultPlan.skip_fifo`) so later draws are
-  bit-identical to a scalar run;
+  bit-identical to a scalar run.  Under a fault plan windows keep to
+  whole periods (no tail), which costs only speed;
 * **stalls and arbiter decisions** — transient stalls never recur in the
   fingerprint, so stall cycles are always ticked scalar (periodic
   steady-state stalls are part of the proved orbit and replay exactly);
@@ -47,7 +58,8 @@ steady-state period and stall-free verdict at compile time; the engine
 then arms a single probe at that horizon instead of hunting for a
 recurrence in a fingerprint table.  Graphs with non-unit-rate stages
 (the shift buffer) fall back to runtime recurrence detection — a wrong
-or missing hint costs speed, never correctness.
+or missing hint costs speed, never correctness.  A probe records no
+orbit, so its windows keep to whole periods.
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
     from repro.faults.plan import FaultPlan
 
 __all__ = ["CompiledGraph", "EventCalendar", "compile_graph",
-           "period_deltas", "execute_window"]
+           "machine_signature", "period_deltas", "execute_window"]
 
 #: Graphs larger than this skip the compile-time occupancy proof — the
 #: abstract interpretation is cheap but not free, and huge graphs are
@@ -216,9 +228,9 @@ class EventCalendar:
     """Everything that bounds a batched window to stay observable.
 
     The calendar answers one question: starting at ``sig_cycle``, how
-    many whole periods may be skipped before a cycle that *must* be
-    ticked scalar — a monitor sample, a freeze-window boundary, or a
-    FIFO fault strike?  Windows are capped, never silently extended, so
+    many cycles may be skipped before a cycle that *must* be ticked
+    scalar — a monitor sample, a freeze-window boundary, or a FIFO fault
+    strike?  Windows are capped, never silently extended, so
     every observable event happens on the scalar path at exactly the
     cycle (or push) a fully scalar run would produce it.
     """
@@ -288,6 +300,23 @@ class EventCalendar:
                         return 0
         return n
 
+    def cap_window(self, sig_cycle: int, period: int, span: int,
+                   push_rates: Sequence[tuple[str, int]], *,
+                   tail: bool) -> tuple[int, int]:
+        """Shrink a ``span``-cycle window to ``n`` periods plus ``k`` cycles.
+
+        The result covers no clocked event and no previewed FIFO strike.
+        ``k < period`` is the tail, 0 unless ``tail`` allows one — which
+        a fault plan never does: its strike preview and :meth:`commit`
+        count pushes per whole period.
+        """
+        cap = self.cap_cycles(sig_cycle)
+        if cap is not None:
+            span = min(span, cap)
+        n = self.cap_periods(sig_cycle, period, span // period, push_rates)
+        k = span % period if tail and self.plan is None else 0
+        return n, k
+
     def commit(self, n: int, push_rates: Sequence[tuple[str, int]]) -> None:
         """Account the pushes a committed window skipped.
 
@@ -305,6 +334,33 @@ class EventCalendar:
 
 # -- window planning and execution ------------------------------------------
 
+def machine_signature(order: list[Stage], streams: list[Stream],
+                      at_cycle: int) -> tuple[tuple | None, str | None]:
+    """``(fingerprint, None)``, or ``(None, stage_name)`` on a veto.
+
+    The fingerprint is every stage's
+    :meth:`~repro.dataflow.stage.Stage.ff_signature` (aligned with
+    ``order``) plus every stream occupancy (aligned with ``streams``).
+    """
+    stage_sigs = []
+    append = stage_sigs.append
+    for stage in order:
+        sig = stage.ff_signature(at_cycle)
+        if sig is None:
+            return None, stage.name
+        append(sig)
+    return (tuple(stage_sigs),
+            tuple([stream.occupancy for stream in streams])), None
+
+
+def _counters(snapshot: tuple[tuple, tuple], stages: int, streams: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """A counter snapshot as ``(stage, stream)`` arrays."""
+    snap_stage, snap_stream = snapshot
+    return (np.asarray(snap_stage, dtype=np.int64).reshape(stages, 6),
+            np.asarray(snap_stream, dtype=np.int64).reshape(streams, 4))
+
+
 def period_deltas(order: list[Stage], streams: list[Stream],
                   snapshot: tuple[tuple, tuple]
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +371,6 @@ def period_deltas(order: list[Stage], streams: list[Stream],
     pipeline_full_stalls)``, stream columns ``(pushes, pops,
     full_stalls, empty_stalls)``.
     """
-    snap_stage, snap_stream = snapshot
     now_stage = np.array(
         [(s.stats.fires, s.stats.retired, s.stats.input_stalls,
           s.stats.output_stalls, s.stats.ii_waits,
@@ -325,63 +380,115 @@ def period_deltas(order: list[Stage], streams: list[Stream],
         [(st.stats.pushes, st.stats.pops, st.stats.full_stalls,
           st.stats.empty_stalls) for st in streams],
         dtype=np.int64).reshape(len(streams), 4)
-    d_stage = now_stage - np.asarray(snap_stage,
-                                     dtype=np.int64).reshape(len(order), 6)
-    d_stream = now_stream - np.asarray(
-        snap_stream, dtype=np.int64).reshape(len(streams), 4)
-    return d_stage, d_stream
+    snap_stage, snap_stream = _counters(snapshot, len(order), len(streams))
+    return now_stage - snap_stage, now_stream - snap_stream
 
 
-def _cap_supply(order: list[Stage], fires_per_period: np.ndarray,
-                n: int) -> int:
-    """Cap ``n`` periods by every firing stage's remaining supply."""
+def _fit_supply(order: list[Stage], fires_per_period: np.ndarray,
+                offset_fires: np.ndarray | None, period: int,
+                cycles: int) -> int:
+    """Longest window of at most ``cycles`` every stage's supply covers.
+
+    Whole periods may spend a stage's last firing: the machine then
+    ends in the start state, whatever a capacity flag in its signature
+    says.  A tail must stop before any stage spends its last unit of
+    :meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`, so it ends in
+    a recorded orbit state.  ``offset_fires[j, i]`` (tail windows only)
+    is stage ``i``'s firings in the first ``j`` cycles of the period.
+    """
+    n, k = divmod(cycles, period)
+    whole = n
+    tailed = cycles if offset_fires is not None else 0
     for i, stage in enumerate(order):
         fpp = int(fires_per_period[i])
-        if fpp and n > 0:
-            n = min(n, stage.ff_fire_capacity(n * fpp) // fpp)
-    return n
+        if not fpp:
+            continue
+        want = n * fpp + (int(offset_fires[k, i]) if k else 0)
+        have = stage.ff_fire_capacity(want + 1)
+        if have > want:
+            continue  # not binding, even for a tail
+        whole = min(whole, have // fpp)
+        if offset_fires is not None:
+            # The longest tailed window firing at most have - 1 times.
+            if have < 1:
+                tailed = 0
+                continue
+            q, rest = divmod(have - 1, fpp)
+            j = int(np.searchsorted(offset_fires[:, i], rest,
+                                    side="right")) - 1
+            tailed = min(tailed, q * period + j)
+    return max(whole * period, tailed)
 
 
 def execute_window(order: list[Stage], streams: list[Stream],
                    stream_index: dict[str, int], sig_cycle: int,
-                   period: int, snapshot: tuple[tuple, tuple], limit: int,
-                   calendar: EventCalendar) -> int:
-    """Plan and execute one batched window of whole periods.
+                   period: int, orbit: Sequence[tuple[tuple, tuple]],
+                   limit: int, calendar: EventCalendar) -> int:
+    """Plan and execute one batched window: ``n`` periods plus a tail.
+
+    ``orbit[j]`` is the recorded ``(signature, counter snapshot)`` of
+    the state ``j`` cycles into the measured period; ``orbit[0]`` is
+    the state the machine is in now, with its snapshot taken one period
+    ago.  A trail hit records the whole orbit (``len(orbit) ==
+    period``): the window may then end ``k < period`` cycles past its
+    last whole period, in the recorded state ``orbit[k]``, with counter
+    deltas ``n * period_delta + (snapshot[k] - snapshot[0])``.  A probe
+    records only ``orbit[0]`` and keeps to whole periods.
 
     Returns the number of cycles skipped: ``> 0`` on a committed window,
     ``0`` when the window must be deferred (a parked zero-fire period,
-    or an event due within one period — the caller keeps its detection
-    state and ticks scalar), and ``-1`` when remaining supply cannot
-    cover even one period (ramp-down: the caller should stop batching).
+    or an event due within one period that leaves no tail — the caller
+    keeps its detection state and ticks scalar), and ``-1`` when
+    remaining supply cannot cover even one cycle (ramp-down: the caller
+    should stop batching).
 
     The relay is FIFO-exact: each stream's final content is the last
     ``occupancy`` items pushed, each pipeline's final entries the last
     ``fill`` produced, so per-cycle ticking resumes on a state
-    bit-identical to the scalar machine's.
+    bit-identical to the scalar machine's.  After a tail the machine is
+    fingerprinted once; a state other than ``orbit[k]`` raises
+    :class:`~repro.errors.DataflowError`.
     """
+    snapshot = orbit[0][1]
     d_stage, d_stream = period_deltas(order, streams, snapshot)
     if len(order) == 0 or int(d_stage[:, 0].sum()) == 0:
         return 0
-    n = (limit - sig_cycle - 1) // period
     push_rates = calendar.push_rates(d_stream, stream_index)
-    n = calendar.cap_periods(sig_cycle, period, n, push_rates)
-    if n < 1:
+    tail = len(orbit) == period and calendar.plan is None
+    n, k = calendar.cap_window(sig_cycle, period, limit - sig_cycle - 1,
+                               push_rates, tail=tail)
+    if n * period + k < 1:
         return 0
-    n = _cap_supply(order, d_stage[:, 0], n)
-    if n < 1:
+    offset_fires = None
+    if tail:
+        offset_fires = np.array([[c[0] for c in snap[0]] for _, snap in orbit],
+                                dtype=np.int64).reshape(period, len(order))
+        offset_fires -= offset_fires[0]
+    skipped = _fit_supply(order, d_stage[:, 0], offset_fires, period,
+                          n * period + k)
+    if skipped < 1:
         return -1
-    target_cycle = sig_cycle + n * period
+    n, k = divmod(skipped, period)
+    target_cycle = sig_cycle + skipped
+    target_sig = orbit[k][0]
+    total_stage, total_stream = n * d_stage, n * d_stream
+    if k:
+        stage_k, stream_k = _counters(orbit[k][1], len(order), len(streams))
+        stage_0, stream_0 = _counters(snapshot, len(order), len(streams))
+        total_stage += stage_k - stage_0
+        total_stream += stream_k - stream_0
 
     # Relay the bulk flow through the graph in topological order.
     pushed: dict[str, Bulk] = {}
     for i, stage in enumerate(order):
-        ds = d_stage[i]
-        fires = int(ds[0]) * n
-        retired = int(ds[1]) * n
+        ds = total_stage[i]
+        fires = int(ds[0])
+        retired = int(ds[1])
+        target = target_sig[0][i]
         inputs: dict[str, Bulk] = {}
         for port, stream in stage.inputs.items():
-            dstr = d_stream[stream_index[stream.name]]
-            pops = int(dstr[1]) * n
+            dstr = total_stream[stream_index[stream.name]]
+            pops = int(dstr[1])
             combined = ChainBulk([
                 ListBulk(list(stream)),
                 pushed.get(stream.name, ListBulk([])),
@@ -389,26 +496,19 @@ def execute_window(order: list[Stage], streams: list[Stream],
             inputs[port] = combined.slice(0, pops)
             leftover = combined.slice(pops, len(combined)).materialize()
             stream.ff_replace(
-                leftover, pushes=int(dstr[0]) * n, pops=pops,
-                full_stalls=int(dstr[2]) * n,
-                empty_stalls=int(dstr[3]) * n)
-        if fires:
-            result = stage.fire_bulk(fires, inputs, sig_cycle)
-            if result.producing_firings != retired:
-                raise DataflowError(
-                    f"stage {stage.name!r}: batched window produced "
-                    f"{result.producing_firings} pipeline entries, "
-                    f"expected {retired} — not a data-independent "
-                    f"steady state"
-                )
-        else:
-            result = None
-            if retired:
-                raise DataflowError(
-                    f"stage {stage.name!r}: batched window retired "
-                    f"{retired} entries without firing"
-                )
+                leftover, pushes=int(dstr[0]), pops=pops,
+                full_stalls=int(dstr[2]), empty_stalls=int(dstr[3]))
         fill = stage.in_flight
+        # Pipeline entries the window must leave behind: the target's.
+        producing = len(target[1]) - fill + retired
+        result = stage.fire_bulk(fires, inputs, sig_cycle) if fires else None
+        produced = result.producing_firings if result is not None else 0
+        if produced != producing:
+            raise DataflowError(
+                f"stage {stage.name!r}: batched window produced "
+                f"{produced} pipeline entries, expected {producing} — "
+                f"not a data-independent steady state"
+            )
         retired_old = min(retired, fill)
         retired_new = retired - retired_old
         old_entries = stage.ff_pipeline_entries()
@@ -422,14 +522,26 @@ def execute_window(order: list[Stage], streams: list[Stream],
             if result is not None and retired_new:
                 parts.append(result.head_bulk(port, retired_new))
             pushed[stream.name] = ChainBulk(parts)
-        tail = (result.tail_firings(retired_old)
+        tail = (result.tail_firings(produced - retired_new)
                 if result is not None else [])
         stage.ff_commit(
-            sig_cycle, target_cycle, fires=fires, retired=retired,
+            target_cycle, target=target, fires=fires, retired=retired,
             tail_outputs=old_entries[retired_old:] + tail)
-        stage.stats.input_stalls += int(ds[2]) * n
-        stage.stats.output_stalls += int(ds[3]) * n
-        stage.stats.ii_waits += int(ds[4]) * n
-        stage.stats.pipeline_full_stalls += int(ds[5]) * n
+        stage.stats.input_stalls += int(ds[2])
+        stage.stats.output_stalls += int(ds[3])
+        stage.stats.ii_waits += int(ds[4])
+        stage.stats.pipeline_full_stalls += int(ds[5])
     calendar.commit(n, push_rates)
-    return n * period
+    if k:
+        landed, _veto = machine_signature(order, streams, target_cycle)
+        if landed != target_sig:
+            stray = ([stage.name for stage, want, got
+                      in zip(order, target_sig[0], landed[0]) if want != got]
+                     if landed is not None else [])
+            raise DataflowError(
+                f"batched window tail ended off its recorded orbit at "
+                f"cycle {target_cycle} ({k} cycles past {n} whole "
+                f"periods of {period}): stages {stray or 'none'} (or "
+                f"stream occupancies) differ from the recorded state"
+            )
+    return skipped

@@ -15,22 +15,36 @@ Every library stage's firing *counts* depend only on control state
 With ``batched=True`` (the default) the engine compiles the graph
 (:mod:`repro.dataflow.compiled`) and fingerprints the complete control
 state each cycle (:meth:`~repro.dataflow.stage.Stage.ff_signature` per
-stage plus every stream occupancy).  When the same fingerprint recurs
-``P`` cycles later the machine is provably periodic — a deterministic
-system revisiting a state replays it exactly — and a window of ``N``
-whole periods is executed as one batched step:
+stage plus every stream occupancy), keeping each cycle's fingerprint and
+counter snapshot on a trail.  When the same fingerprint recurs ``P``
+cycles later the machine is provably periodic — a deterministic system
+revisiting a state replays it exactly — and the trail between the two
+occurrences is the period's whole orbit.  A window of ``N`` whole
+periods plus a tail of ``k < P`` cycles is then executed as one batched
+step:
 
 * counters (fires, retirements, stalls, pushes, pops) grow by ``N`` times
-  their per-period delta, measured between the two matching cycles;
+  their per-period delta, measured between the two matching cycles, plus
+  the orbit's delta over its first ``k`` cycles;
 * data flows through the graph in bulk: each stage's
-  :meth:`~repro.dataflow.stage.Stage.fire_bulk` processes its ``N × F``
-  firings at once (vectorised where the stage supports it), and FIFO
-  semantics pin the few items left in streams and stage pipelines when
-  per-cycle ticking resumes;
-* ``N`` is capped by every stage's remaining capacity
-  (:meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`), so a window
-  stops exactly at boundary events — source exhaustion, chunk seams —
-  and the engine drops back to scalar ticking for ramp-down.
+  :meth:`~repro.dataflow.stage.Stage.fire_bulk` processes its firings at
+  once (vectorised where the stage supports it), FIFO semantics pin the
+  few items left in streams and stage pipelines, and each stage installs
+  the orbit's recorded state ``k`` cycles in
+  (:meth:`~repro.dataflow.stage.Stage.ff_commit`);
+* the window is capped by every stage's remaining capacity
+  (:meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`): whole periods
+  may spend a stage's last unit, a tail stops just before it, so a
+  window ends exactly at boundary events — source exhaustion, the shift
+  buffer's prime boundary — and in a state the orbit recorded.  The
+  machine is fingerprinted once after a tail; landing off the orbit
+  raises :class:`~repro.errors.DataflowError`.
+
+On the kernel graphs the shift stages fingerprint their prime as one
+state, so the prime batches as one short-period window; what stays
+scalar is the pipeline fill before it, one plane of recurrence
+detection before the steady window, and the drain after the source's
+last cell.
 
 Windows are *event-aware*: monitor sample cycles, fault freeze
 boundaries and previewed FIFO fault strikes bound each window and are
@@ -38,7 +52,8 @@ always executed on the scalar path, so monitored and faulted runs
 accelerate too.  For unit-rate graphs the compiled graph carries a
 statically proven period (``period_hint``); the engine then arms a
 single probe at that horizon instead of hunting for a recurrence, and a
-wrong hint costs speed, never correctness.
+wrong hint costs speed, never correctness.  A probe records no orbit,
+so its windows keep to whole periods.
 
 Results are bit-identical to ``batched=False`` scalar ticking —
 statistics, stream occupancies, sink data, fault traces, and raised
@@ -57,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.dataflow.compiled import (EventCalendar, compile_graph,
-                                     execute_window)
+                                     execute_window, machine_signature)
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import Monitor
 from repro.dataflow.stage import Stage
@@ -70,15 +85,69 @@ if TYPE_CHECKING:  # imported lazily to keep dataflow import-cycle free
 
 __all__ = ["DataflowEngine", "RunStats"]
 
-#: Signature table cap: beyond this many distinct control states the run
-#: is clearly not periodic at a useful scale; the table is cleared to
-#: bound memory and detection re-arms from scratch.
-_FF_TABLE_CAP = 65_536
+#: Signature trail cap: beyond this many recorded control states the
+#: run is clearly not periodic at a useful scale; the trail is cleared
+#: to bound memory and detection re-arms from scratch.
+_FF_TRAIL_CAP = 65_536
 
 #: Consecutive probe misses before a *learned* period is
-#: dropped and table detection resumes (a statically proven period is
+#: dropped and trail detection resumes (a statically proven period is
 #: never dropped — a wrong one only costs speed).
 _LEARNED_MISS_CAP = 8
+
+
+class _Trail:
+    """The control states of consecutive cycles since detection (re)armed.
+
+    ``states[j]`` is the ``(signature, counter snapshot)`` of cycle
+    ``start + j``; ``first`` maps each distinct signature to the cycle it
+    first occurred.  When a signature recurs, the states between its two
+    occurrences are the period's whole orbit, so a window may end at any
+    offset of it.
+    """
+
+    __slots__ = ("first", "states", "start")
+
+    def __init__(self) -> None:
+        self.first: dict[Any, int] = {}
+        self.states: list[tuple[tuple, tuple]] = []
+        self.start = 0
+
+    def clear(self) -> None:
+        self.first.clear()
+        self.states.clear()
+
+    def record(self, cycle: int, sig: tuple, snapshot: tuple) -> None:
+        """Append the state of ``cycle`` (the cycle after the last one)."""
+        if not self.states:
+            self.start = cycle
+        elif len(self.states) >= _FF_TRAIL_CAP:
+            self.clear()
+            self.start = cycle
+        self.first.setdefault(sig, cycle)
+        self.states.append((sig, snapshot))
+
+    def orbit(self, cycle: int, sig: tuple) -> list[tuple[tuple, tuple]] | None:
+        """The recorded orbit if ``sig`` at ``cycle`` recurs, else None."""
+        first = self.first.get(sig)
+        if first is None:
+            return None
+        return self.states[first - self.start:cycle - self.start]
+
+    def slide(self, cycle: int, sig: tuple, snapshot: tuple) -> None:
+        """Keep one period: drop the orbit's first state, record ``cycle``.
+
+        Called when a hit at ``cycle`` was deferred: the next cycle's
+        hit then finds its orbit one cycle on, and a machine parked for
+        many cycles keeps a trail of one period, not one entry per cycle.
+        """
+        keep = self.first[sig] + 1 - self.start
+        for old_sig, _snapshot in self.states[:keep]:
+            del self.first[old_sig]
+        del self.states[:keep]
+        self.start += keep
+        self.first[sig] = cycle
+        self.states.append((sig, snapshot))
 
 
 @dataclass
@@ -314,7 +383,7 @@ class DataflowEngine:
         batched = self.batched
         calendar: EventCalendar | None = None
         # Statically proved steady-state horizon (unit-rate graphs only):
-        # probe at that period instead of table hunting.
+        # probe at that period instead of trail hunting.
         proven: int | None = None
         if batched:
             for monitor, every, _phase in monitor_plan:
@@ -336,10 +405,10 @@ class DataflowEngine:
                         if stream.fault_hook is not None],
             )
             proven = compiled.period_hint
-        ff_table: dict[Any, tuple[int, tuple[dict, dict]]] = {}
+        trail = _Trail()
         #: Armed probe under a known period: (signature, cycle, snapshot).
         probe: tuple[Any, int, tuple] | None = None
-        #: Learned period: after the first table hit, probe at the
+        #: Learned period: after the first trail hit, probe at the
         #: committed period so windows re-open immediately after each
         #: scalar event cycle.  Dropped after repeated misses.
         learned: int | None = None
@@ -420,7 +489,7 @@ class DataflowEngine:
                 # the post-strike state.
                 assert plan is not None
                 if len(plan.trace) != plan_trace_len:
-                    ff_table.clear()
+                    trail.clear()
                     probe = None
                     for event in plan.trace[plan_trace_len:]:
                         if event.site == "fifo" and event.kind == "corrupt":
@@ -440,10 +509,10 @@ class DataflowEngine:
                 while boundary_idx < len(boundaries) \
                         and boundaries[boundary_idx] <= cycle + 1:
                     boundary_idx += 1
-                ff_table.clear()
+                trail.clear()
                 probe = None
             if batched:
-                sig, veto_stage = self._ff_machine_signature(order, cycle + 1)
+                sig, veto_stage = machine_signature(order, streams, cycle + 1)
                 if sig is None:
                     # A stage vetoed (data-dependent control, e.g. a
                     # starved arbiter): scalar ticking for the rest of
@@ -453,25 +522,26 @@ class DataflowEngine:
                         f"detection (data-dependent control)"
                     )
                     batched = False
-                    ff_table.clear()
+                    trail.clear()
                     probe = None
                     veto_cycle = cycle
                 else:
-                    hit: tuple[int, tuple] | None = None
+                    hit: tuple[int, list] | None = None
                     horizon = proven if proven is not None else learned
                     if horizon is not None:
                         # Known period (statically proven or learned
-                        # from a committed window): no table, one probe.
+                        # from a committed window): no trail, one probe,
+                        # whole periods only.
                         if probe is not None \
                                 and (cycle + 1) - probe[1] == horizon:
                             if sig == probe[0]:
-                                hit = (probe[1], probe[2])
+                                hit = (probe[1], [(sig, probe[2])])
                                 probe_misses = 0
                             elif proven is None:
                                 probe_misses += 1
                                 if probe_misses >= _LEARNED_MISS_CAP:
                                     # The learned period went stale;
-                                    # back to table detection.
+                                    # back to trail detection.
                                     learned = None
                                     probe_misses = 0
                             probe = None  # re-armed below on a miss
@@ -479,23 +549,24 @@ class DataflowEngine:
                                 and (proven is not None
                                      or learned is not None):
                             probe = (sig, cycle + 1, self._ff_snapshot(order))
-                    elif sig in ff_table:
-                        hit = ff_table[sig]
                     else:
-                        if len(ff_table) >= _FF_TABLE_CAP:
-                            ff_table.clear()
-                        ff_table[sig] = (cycle + 1, self._ff_snapshot(order))
+                        orbit = trail.orbit(cycle + 1, sig)
+                        if orbit is None:
+                            trail.record(cycle + 1, sig,
+                                         self._ff_snapshot(order))
+                        else:
+                            hit = (cycle + 1 - len(orbit), orbit)
                     if hit is None:
                         cycle += 1
                         continue
-                    first_cycle, snapshot = hit
+                    first_cycle, orbit = hit
                     period = (cycle + 1) - first_cycle
                     fires_before = ({s.name: s.stats.fires for s in order}
                                     if trace_on else None)
                     assert calendar is not None
                     skipped = execute_window(
                         order, streams, stream_index, cycle + 1, period,
-                        snapshot, cap, calendar)
+                        orbit, cap, calendar)
                     if skipped > 0:
                         batched_windows += 1
                         batched_cycles += skipped
@@ -524,17 +595,21 @@ class DataflowEngine:
                         cycle += skipped
                         last_progress = cycle
                         # Counters moved: every stored snapshot is stale.
-                        ff_table.clear()
+                        trail.clear()
                         probe = None
                     elif skipped < 0:
-                        # No room for even one period (sources at their
-                        # end): the remaining run is short; tick it.
+                        # No supply left for even one cycle (sources at
+                        # their end): the remaining run is short; tick it.
                         batched = False
-                        ff_table.clear()
+                        trail.clear()
                         probe = None
-                    # skipped == 0: a parked zero-fire period, or an
-                    # event due within one period — detection state
-                    # stays valid; tick the next cycle scalar.
+                    elif horizon is None:
+                        # A parked zero-fire period, or an event due
+                        # within one period: detection state stays
+                        # valid, and the trail slides on so the next
+                        # hit finds its whole orbit.
+                        trail.slide(cycle + 1, sig,
+                                    self._ff_snapshot(order))
             cycle += 1
         else:
             if self.watchdog is not None and cap == self.watchdog:
@@ -671,21 +746,6 @@ class DataflowEngine:
                 ).inc(reason=stats.batch_fallback_reason)
 
     # -- steady-state detection internals --------------------------------------
-
-    def _ff_machine_signature(self, order: list[Stage], at_cycle: int
-                              ) -> tuple[tuple | None, str | None]:
-        """``(fingerprint, None)``, or ``(None, stage_name)`` on a veto."""
-        stage_sigs = []
-        append = stage_sigs.append
-        for stage in order:
-            sig = stage.ff_signature(at_cycle)
-            if sig is None:
-                return None, stage.name
-            append(sig)
-        return (
-            tuple(stage_sigs),
-            tuple([stream.occupancy for stream in self.graph.streams]),
-        ), None
 
     def _ff_snapshot(self, order: list[Stage]) -> tuple[tuple, tuple]:
         """Counter snapshot paired with a signature's first occurrence.

@@ -296,9 +296,10 @@ class Stage:
     def ff_fire_capacity(self, want: int) -> int:
         """How many of ``want`` firings this stage could still perform.
 
-        Sources bound this by their remaining items, the shift buffer by
-        its block size; stages fed purely by streams have no cap of their
-        own (the engine already bounds them by upstream supply).
+        Sources bound this by their remaining items, the shift buffers
+        by their prime boundary and block size; stages fed purely by
+        streams have no cap of their own (the engine already bounds them
+        by upstream supply).
         """
         return want
 
@@ -333,36 +334,38 @@ class Stage:
             firings.append(dict(self.fire(cycle, consumed)))
         return ListFireResult(firings)
 
-    def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
+    def ff_commit(self, cycle: int, *, target: tuple, fires: int,
                   retired: int,
                   tail_outputs: list[dict[str, list[Any]]]) -> None:
-        """Install the post-advance pipeline and counters.
+        """Install the state a batched window ends in, at ``cycle``.
 
-        ``tail_outputs`` are the ``len(self._pipeline)`` output dicts left
-        in flight at the end of the advance (pre-advance entries not yet
-        retired, then the newest producing firings); by periodicity they
-        slot into the pipeline with the same ready ages, in order, that
-        the pre-advance entries had.
+        ``target`` is this stage's :meth:`ff_signature` of that state as
+        the engine recorded it: the window's start state after whole
+        periods, or the orbit state ``k`` cycles into the period after a
+        ``k``-cycle tail.  The base class installs the II timer and the
+        pipeline's ready ages from it; a subclass whose signature carries
+        more installable control state installs that too.
+        ``tail_outputs`` are the output dicts left in flight at the end
+        of the window (pre-window entries not yet retired, then the
+        newest producing firings), one per pipeline entry of ``target``.
         """
-        if len(tail_outputs) != len(self._pipeline):
+        wait, pipe = target[0], target[1]
+        if len(tail_outputs) != len(pipe):
             raise DataflowError(
                 f"stage {self.name!r}: batched window pipeline mismatch "
                 f"({len(tail_outputs)} tail firings vs "
-                f"{len(self._pipeline)} entries)"
+                f"{len(pipe)} entries)"
             )
         new_pipe: deque[tuple[int, dict[str, list[Any]], tuple]] = deque()
-        for (ready, _old_prod, shape), produced in zip(self._pipeline,
-                                                       tail_outputs):
+        for (age, shape), produced in zip(pipe, tail_outputs):
             if tuple((p, len(v)) for p, v in produced.items()) != shape:
                 raise DataflowError(
                     f"stage {self.name!r}: batched window entry shape changed "
                     f"(not a true steady state)"
                 )
-            new_pipe.append(
-                (new_cycle + max(ready - old_cycle, 0), produced, shape))
+            new_pipe.append((cycle + age, produced, shape))
         self._pipeline = new_pipe
-        self._next_fire_cycle = new_cycle + max(
-            self._next_fire_cycle - old_cycle, 0)
+        self._next_fire_cycle = cycle + wait
         self.stats.fires += fires
         self.stats.retired += retired
 

@@ -51,7 +51,8 @@ from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError, DataflowError, ShiftBufferError
 from repro.kernel.stages import AdvectResultBulk
-from repro.shiftbuffer.general import GeneralShiftBuffer, GeneralWindow
+from repro.shiftbuffer.general import (GeneralShiftBuffer, GeneralWindow,
+                                      fill_capacity, fill_signature)
 from repro.shiftbuffer.ports import MemoryPortTracker
 
 if TYPE_CHECKING:
@@ -227,22 +228,10 @@ class GeneralShiftBufferStage(Stage):
         return {"out": windows} if windows else {}
 
     def ff_signature(self, cycle: int) -> tuple:
-        # A feed emits iff x, y and z are all >= 2r: no prime feed emits,
-        # and every X >= 2r behaves alike, so the prime is one state and
-        # the steady state repeats once per plane.
-        base = super().ff_signature(cycle)
-        buffer = self.buffer
-        if buffer.fed < buffer.first_emit_feed:
-            return base + ("prime",)
-        x, y, z = buffer.position
-        return base + (min(x, 2 * buffer.radius), y, z)
+        return super().ff_signature(cycle) + fill_signature(self.buffer)
 
     def ff_fire_capacity(self, want: int) -> int:
-        # A window never crosses the prime/steady boundary event.
-        buffer = self.buffer
-        first = buffer.first_emit_feed
-        stop = first if buffer.fed < first else buffer.expected_feeds
-        return min(want, stop - buffer.fed)
+        return fill_capacity(self.buffer, want)
 
     def _track(self, values: np.ndarray) -> None:
         """Drop the backing for good unless ``values`` continue it.

@@ -125,12 +125,16 @@ class ArbitratedReadStage(ReadDataStage):
             return None
         return base + (self.arbiter._credits,)
 
-    def ff_commit(self, old_cycle: int, new_cycle: int, *, fires: int,
+    def ff_commit(self, cycle: int, *, target: tuple, fires: int,
                   retired: int, tail_outputs) -> None:
-        super().ff_commit(old_cycle, new_cycle, fires=fires,
+        super().ff_commit(cycle, target=target, fires=fires,
                           retired=retired, tail_outputs=tail_outputs)
-        # Every firing in a batched window would have won one grant.
+        # Every firing in a batched window would have won one grant, and
+        # the credit accumulator ends where the recorded state has it
+        # (after a tail, mid-period; read stages sharing the arbiter all
+        # install the same value).
         self.arbiter.grants += fires
+        self.arbiter._credits = target[-1]
 
 
 @dataclass

@@ -28,6 +28,7 @@ from repro.dataflow.bulk import (
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import DataflowError
 from repro.shiftbuffer.buffer3d import ShiftBuffer3D
+from repro.shiftbuffer.general import fill_capacity, fill_signature
 from repro.shiftbuffer.ports import MemoryPortTracker
 from repro.shiftbuffer.window import StencilWindow
 
@@ -402,20 +403,15 @@ class ShiftBufferStage(Stage):
             self.first_emit_cycle = cycle
         return {"out": bundles} if bundles else {}
 
-    def ff_signature(self, cycle: int) -> tuple | None:
-        base = super().ff_signature(cycle)
-        if base is None:
-            return None
-        # Emission control depends on the streaming position only; X
-        # positions >= 2 all behave alike, so clamping X makes every
-        # steady-state plane comparable and the fundamental period one
-        # full (ny * nz) plane of feeds.
-        x, y, z = self._buffers["u"].position
-        return base + (min(x, 2), y, z)
+    def ff_signature(self, cycle: int) -> tuple:
+        # Emission control depends on the fill position only: the prime
+        # is one state (it batches as a period-1 window) and the steady
+        # state repeats once per (ny * nz) plane of feeds.
+        return super().ff_signature(cycle) + fill_signature(
+            self._buffers["u"])
 
     def ff_fire_capacity(self, want: int) -> int:
-        buffer = self._buffers["u"]
-        return min(want, buffer.expected_feeds - buffer.fed)
+        return fill_capacity(self._buffers["u"], want)
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:

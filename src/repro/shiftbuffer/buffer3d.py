@@ -82,6 +82,9 @@ class ShiftBuffer3D:
         Prefix for memory names in port reports (e.g. the field name).
     """
 
+    #: Stencil radius: the paper's 27-point stencil reaches one cell out.
+    radius: int = 1
+
     def __init__(self, nx: int, ny: int, nz: int, *, partitioned: bool = True,
                  tracker: MemoryPortTracker | None = None,
                  name: str = "field") -> None:
@@ -139,6 +142,16 @@ class ShiftBuffer3D:
     def expected_emissions(self) -> int:
         """Stencils a full streaming pass emits: interior columns x (nz-1)."""
         return (self.nx - 2) * (self.ny - 2) * (self.nz - 1)
+
+    @property
+    def first_emit_feed(self) -> int:
+        """Index of the first feed that emits a window (the prime length).
+
+        A feed at ``(x, y, z)`` emits iff ``x, y, z >= 2`` (a column top
+        at ``z = nz - 1 >= 2`` included), so the first one is
+        ``(2, 2, 2)`` and every feed before it only primes.
+        """
+        return 2 * self.ny * self.nz + 2 * self.nz + 2
 
     # -- the update ---------------------------------------------------------------
 

@@ -28,7 +28,8 @@ import numpy as np
 from repro.errors import ShiftBufferError
 from repro.shiftbuffer.ports import MemoryPortTracker
 
-__all__ = ["GeneralShiftBuffer", "GeneralWindow", "gather_state"]
+__all__ = ["GeneralShiftBuffer", "GeneralWindow", "gather_state",
+           "fill_signature", "fill_capacity"]
 
 
 def gather_state(slab: np.ndarray, lines: np.ndarray, windows: np.ndarray,
@@ -89,6 +90,32 @@ def gather_state(slab: np.ndarray, lines: np.ndarray, windows: np.ndarray,
                 gx, gy = divmod(g, ny)
                 if 0 <= gx - s < nx:
                     windows[s, dy, dz] = backing[gx - s, gy, fz]
+
+
+def fill_signature(buffer) -> tuple:
+    """The emission-control state of a shift buffer of either kind.
+
+    A feed emits iff its position is at least ``2r`` on every axis, so
+    emission depends on the fill position alone: ``("prime",)`` before
+    the first emitting feed (no prime feed emits, so the prime is one
+    state), then ``(min(x, 2r), y, z)`` — every X at or past ``2r``
+    behaves alike, so the steady state repeats once per plane.
+    """
+    if buffer.fed < buffer.first_emit_feed:
+        return ("prime",)
+    x, y, z = buffer.position
+    return (min(x, 2 * buffer.radius), y, z)
+
+
+def fill_capacity(buffer, want: int) -> int:
+    """How many of ``want`` feeds a batched window may give ``buffer``.
+
+    A window never crosses the prime/steady boundary: during the prime
+    it stops at the first emitting feed, after it at the block's end.
+    """
+    first = buffer.first_emit_feed
+    stop = first if buffer.fed < first else buffer.expected_feeds
+    return min(want, stop - buffer.fed)
 
 
 class GeneralWindow:

@@ -62,6 +62,11 @@ class MemoryPortTracker:
         self.enforce = enforce
         self._this_cycle: dict[str, int] = {}
         self._reports: dict[str, PortReport] = {}
+        #: Cycles closed so far, and the count each report was born at:
+        #: a report's ``cycles`` is their difference, filled in when it is
+        #: read, so closing a cycle never touches the idle reports.
+        self._cycles = 0
+        self._born: dict[str, int] = {}
         self.conflicts: int = 0
         self._cycle_open = False
 
@@ -89,15 +94,23 @@ class MemoryPortTracker:
                     f"array (HLS array_partition / manual split on Intel)"
                 )
 
+    def _report_for(self, memory: str) -> PortReport:
+        """The lifetime report of ``memory``, born now if it is new."""
+        report = self._reports.get(memory)
+        if report is None:
+            report = self._reports[memory] = PortReport(memory)
+            self._born[memory] = self._cycles
+        return report
+
     def end_cycle(self) -> None:
         """Close the cycle and fold counts into the lifetime reports."""
+        reports = self._reports
         for memory, count in self._this_cycle.items():
-            report = self._reports.setdefault(memory, PortReport(memory))
+            report = reports.get(memory) or self._report_for(memory)
             report.total_accesses += count
             if count > report.max_accesses_per_cycle:
                 report.max_accesses_per_cycle = count
-        for report in self._reports.values():
-            report.cycles += 1
+        self._cycles += 1
         self._cycle_open = False
 
     def record_steady(self, pattern: dict[str, int], cycles: int) -> None:
@@ -108,7 +121,7 @@ class MemoryPortTracker:
         for it in bulk instead of opening one window per value.  The
         result is identical to ``cycles`` begin/access/end rounds:
         conflicts are counted (and raised, when enforcing) per cycle, and
-        every known report ages by ``cycles`` like :meth:`end_cycle` does.
+        every known report ages by ``cycles``.
         """
         if cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {cycles}")
@@ -129,19 +142,24 @@ class MemoryPortTracker:
                         f"Intel)"
                     )
         for memory, count in pattern.items():
-            report = self._reports.setdefault(memory, PortReport(memory))
+            report = self._report_for(memory)
             report.total_accesses += count * cycles
             if count > report.max_accesses_per_cycle:
                 report.max_accesses_per_cycle = count
-        for report in self._reports.values():
-            report.cycles += cycles
+        self._cycles += cycles
 
     # -- results -----------------------------------------------------------------
 
     def report(self, memory: str) -> PortReport:
-        return self._reports.get(memory, PortReport(memory))
+        report = self._reports.get(memory)
+        if report is None:
+            return PortReport(memory)
+        report.cycles = self._cycles - self._born[memory]
+        return report
 
     def reports(self) -> dict[str, PortReport]:
+        for memory, report in self._reports.items():
+            report.cycles = self._cycles - self._born[memory]
         return dict(self._reports)
 
     @property

@@ -16,7 +16,7 @@ helpers.
 
 import pytest
 
-from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.engine import DataflowEngine, RunStats, _Trail
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
 from repro.dataflow.stage import (
@@ -441,3 +441,32 @@ class TestRunStatsPlumbing:
         assert d["batched_windows"] == stats.batched_windows
         assert d["batched_cycles"] == stats.batched_cycles
         assert d["batch_fallback_reason"] == stats.batch_fallback_reason
+
+
+class TestTrail:
+    """The recurrence trail hands out whole orbits and stays one period
+    long while hits are deferred."""
+
+    def test_orbit_is_the_states_between_two_occurrences(self):
+        trail = _Trail()
+        for cycle, sig in enumerate(["p", "a", "b"]):
+            assert trail.orbit(cycle, sig) is None
+            trail.record(cycle, sig, (cycle,))
+        assert trail.orbit(3, "a") == [("a", (1,)), ("b", (2,))]
+
+    def test_deferred_hits_slide_one_period(self):
+        trail = _Trail()
+        for cycle, sig in enumerate(["p", "a", "b"]):
+            trail.record(cycle, sig, (cycle,))
+        trail.slide(3, "a", (3,))
+        assert trail.orbit(4, "b") == [("b", (2,)), ("a", (3,))]
+        trail.slide(4, "b", (4,))
+        assert trail.orbit(5, "a") == [("a", (3,)), ("b", (4,))]
+
+    def test_a_parked_machine_keeps_one_state(self):
+        trail = _Trail()
+        trail.record(0, "parked", (0,))
+        for cycle in range(1, 1000):
+            assert trail.orbit(cycle, "parked") == [("parked", (cycle - 1,))]
+            trail.slide(cycle, "parked", (cycle,))
+        assert len(trail.states) == 1

@@ -1,6 +1,8 @@
 """Tests for the dual-port memory access tracker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PortConflictError
 from repro.shiftbuffer.ports import MemoryPortTracker
@@ -86,3 +88,96 @@ class TestAchievableII:
 
     def test_ii_one_when_untouched(self):
         assert MemoryPortTracker().achievable_ii() == 1
+
+
+class _AgingReference:
+    """Port accounting that ages every known report on every closed
+    cycle: the reference the tracker's birth-cycle bookkeeping must
+    reproduce exactly."""
+
+    def __init__(self, enforce):
+        self.enforce = enforce
+        self.reports = {}
+        self.conflicts = 0
+        #: An enforcing conflict aborts a cycle and leaves it open.
+        self.open = False
+
+    def _over(self, count, cycles):
+        if count > 2:
+            self.conflicts += cycles
+            if self.enforce:
+                raise PortConflictError("reference conflict")
+
+    def cycle(self, accesses):
+        self.open = True
+        counts = {}
+        for memory, count in accesses:
+            counts[memory] = counts.get(memory, 0) + count
+            self._over(counts[memory], 1)
+        for memory, count in counts.items():
+            report = self.reports.setdefault(memory, [0, 0, 0])
+            report[1] += count
+            report[2] = max(report[2], count)
+        for report in self.reports.values():
+            report[0] += 1
+        self.open = False
+
+    def steady(self, pattern, cycles):
+        if cycles == 0:
+            return
+        if self.open:
+            raise PortConflictError("reference window still open")
+        for count in pattern.values():
+            self._over(count, cycles)
+        for memory, count in pattern.items():
+            report = self.reports.setdefault(memory, [0, 0, 0])
+            report[1] += count * cycles
+            report[2] = max(report[2], count)
+        for report in self.reports.values():
+            report[0] += cycles
+
+
+_MEMORIES = st.sampled_from(["a", "b", "c", "d"])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("cycle"),
+              st.lists(st.tuples(_MEMORIES, st.integers(1, 3)),
+                       max_size=4)),
+    st.tuples(st.just("steady"),
+              st.dictionaries(_MEMORIES, st.integers(1, 3), max_size=3),
+              st.integers(0, 5)),
+), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS, enforce=st.booleans())
+def test_reports_match_per_cycle_aging(ops, enforce):
+    """Random access/end_cycle/record_steady sequences give the reports
+    and conflict counts of per-cycle aging, read after every step."""
+    tracker = MemoryPortTracker(enforce=enforce)
+    reference = _AgingReference(enforce)
+    for op in ops:
+        raised = []
+        for side in (tracker, reference):
+            try:
+                if op[0] == "steady" and side is tracker:
+                    tracker.record_steady(op[1], op[2])
+                elif op[0] == "steady":
+                    reference.steady(op[1], op[2])
+                elif side is tracker:
+                    tracker.begin_cycle()
+                    for memory, count in op[1]:
+                        tracker.access(memory, count)
+                    tracker.end_cycle()
+                else:
+                    reference.cycle(op[1])
+                raised.append(False)
+            except PortConflictError:
+                raised.append(True)
+        assert raised[0] == raised[1]
+        assert tracker.conflicts == reference.conflicts
+        assert {name: [r.cycles, r.total_accesses, r.max_accesses_per_cycle]
+                for name, r in tracker.reports().items()} \
+            == reference.reports
+        for memory in "abcd":
+            expected = reference.reports.get(memory, [0, 0, 0])
+            assert tracker.report(memory).cycles == expected[0]
