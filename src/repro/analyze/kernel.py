@@ -30,7 +30,9 @@ def static_kernel_cycles(config: KernelConfig, *, read_ii: int = 1,
     pipeline and restarts it; chunks of equal width are control-identical,
     so one abstract run per distinct width covers the whole plan, and
     :func:`~repro.analyze.interp.interpret`'s memo shares that run across
-    calls (every design point of a tune with the same width and graph).
+    calls with the same structural graph and token count.  A tune's
+    :class:`~repro.tune.cost.CostModel` calls this once per distinct
+    kernel config.
     """
     from repro.lint.builders import build_structural_graph
 

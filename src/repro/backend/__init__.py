@@ -18,11 +18,10 @@ Built-ins:
     follow-on paper: a VLIW-vector / stream-interconnect machine with
     its own ``BK`` lint family and tuner axes.
 
-This module is also the canonical home of
-:class:`~repro.hardware.versal.AIEngineProjection`: the §V roofline
-projection is folded into the ``versal_aie`` backend as a consistency
-cross-check, so import it from here (the ``repro.hardware.versal``
-location remains as a deprecated alias).
+This package is also the home of
+:class:`~repro.backend.projection.AIEngineProjection` and its two
+device projections: the §V roofline projection is folded into the
+``versal_aie`` backend as a consistency cross-check.
 """
 
 from __future__ import annotations
@@ -34,9 +33,13 @@ from repro.backend.base import (
     get_backend,
     register_backend,
 )
+from repro.backend.projection import (
+    STRATIX10_NX_PROJECTION,
+    VERSAL_VC1902,
+    AIEngineProjection,
+)
 from repro.backend.space import AxisSpace
 from repro.errors import BackendError
-from repro.hardware.versal import VERSAL_VC1902, AIEngineProjection
 
 __all__ = [
     "AIEngineProjection",
@@ -44,6 +47,7 @@ __all__ = [
     "Backend",
     "BackendError",
     "DEFAULT_BACKEND",
+    "STRATIX10_NX_PROJECTION",
     "VERSAL_VC1902",
     "backend_names",
     "get_backend",

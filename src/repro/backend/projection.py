@@ -11,14 +11,10 @@ buffer design."
 :class:`AIEngineProjection` turns that paragraph into arithmetic: the
 compute ceiling of an AI-engine array on the PW kernel, the feed
 bandwidth the shift-buffer fabric must sustain to keep it busy, and the
-resulting roofline against realisable on-chip bandwidth.
-
-.. deprecated::
-    Import :class:`AIEngineProjection` from :mod:`repro.backend` — the
-    projection is folded into the ``versal_aie`` backend's roofline as
-    a consistency cross-check, and the backend package is its canonical
-    home.  This module remains as a compatibility alias for the device
-    constants (:data:`VERSAL_VC1902`, :data:`STRATIX10_NX_PROJECTION`).
+resulting roofline against realisable on-chip bandwidth.  The
+projection is folded into the ``versal_aie`` backend's roofline as a
+consistency cross-check; import it, :data:`VERSAL_VC1902` and
+:data:`STRATIX10_NX_PROJECTION` from :mod:`repro.backend`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.hardware.pcie import PCIeLink
 from repro.hardware.power import PowerModel
 from repro.hardware.resources import ResourceVector, estimate_kernel_resources, fit_kernels
 from repro.kernel.config import KernelConfig
-from repro.kernel.cycle_model import KernelCycleModel
+from repro.kernel.cycle_model import CycleBreakdown, KernelCycleModel
 
 __all__ = ["FPGADevice", "InvocationEstimate"]
 
@@ -138,24 +138,26 @@ class FPGADevice:
         )
 
         decomp = GridDecomposition(grid, min(num_kernels, grid.nx))
+        per_kernel = mem.effective_per_kernel(burst_bytes=burst)
+        # The cycle model reads a part only through its size, and the
+        # parts take at most two widths: one breakdown per width.
+        breakdowns: dict[int, CycleBreakdown] = {}
         worst_compute = 0.0
         worst_memory = 0.0
         total_traffic = 0.0
         for part in range(decomp.parts):
             sub = decomp.subgrid(part)
-            model = KernelCycleModel(config.for_grid(sub))
-            worst_compute = max(worst_compute,
-                                model.cycles() / clock_hz)
+            breakdown = breakdowns.get(sub.nx)
+            if breakdown is None:
+                breakdown = breakdowns[sub.nx] = KernelCycleModel(
+                    config.for_grid(sub)).breakdown()
+            worst_compute = max(worst_compute, breakdown.total / clock_hz)
             # Streamed traffic: every fed cell is a three-field read,
             # every interior cell a three-value write.
-            traffic = (config.in_bytes_per_cell
-                       * model.breakdown().feeds_total
+            traffic = (config.in_bytes_per_cell * breakdown.feeds_total
                        + config.out_bytes_per_cell * sub.num_cells)
             total_traffic += traffic
-            worst_memory = max(
-                worst_memory,
-                traffic / mem.effective_per_kernel(burst_bytes=burst),
-            )
+            worst_memory = max(worst_memory, traffic / per_kernel)
         aggregate_time = total_traffic / mem.effective_aggregate(
             decomp.parts, burst_bytes=burst
         )

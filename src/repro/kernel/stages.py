@@ -95,6 +95,20 @@ class CellBlockBulk(Bulk):
         ]
 
 
+def _cell_runs(bulk: Bulk) -> np.ndarray:
+    """The (u, v, w) values of a run of cells, one row per field."""
+    runs = []
+    for part in bulk.parts():
+        if isinstance(part, CellBlockBulk):
+            runs.append(np.stack(
+                [flat[part.start:part.stop] for flat in part.flats]))
+        else:
+            runs.append(np.array(
+                [(c.u, c.v, c.w) for c in part.materialize()],
+                dtype=float).reshape(-1, 3).T)
+    return np.concatenate(runs, axis=1) if runs else np.empty((3, 0))
+
+
 class StencilBulk(Bulk):
     """A run of :class:`StencilBundle` emissions addressed by flat index.
 
@@ -343,7 +357,8 @@ class ShiftBufferStage(Stage):
     ``backing`` (the three chunk blocks in streaming layout) unlocks the
     batched firing path: the buffers jump ahead analytically
     (:meth:`ShiftBuffer3D.feed_bulk`) and emissions travel as a
-    :class:`StencilBulk` instead of materialised windows.
+    :class:`StencilBulk` instead of materialised windows.  It serves
+    only while every cell consumed is the block's (:meth:`_track`).
     """
 
     input_ports = ("in",)
@@ -380,6 +395,10 @@ class ShiftBufferStage(Stage):
             field: np.ascontiguousarray(arr, dtype=float)
             for field, arr in zip(("u", "v", "w"), backing)
         }
+        #: The backing's bit patterns in stream order, for :meth:`_track`.
+        self._bits = None if self._backing is None else tuple(
+            self._backing[field].reshape(-1).view(np.int64)
+            for field in ("u", "v", "w"))
         #: Cycle of the first window emission — the prime/steady boundary
         #: the observability plane splits this stage's activity span at.
         #: ``None`` until the buffers first produce (and after reset).
@@ -387,6 +406,13 @@ class ShiftBufferStage(Stage):
 
     def fire(self, cycle: int, inputs: Mapping[str, list]) -> Mapping[str, list]:
         (cell,) = inputs["in"]
+        if self._backing is not None:
+            fed = self._buffers["u"].fed
+            word = np.array((cell.u, cell.v, cell.w)).view(np.int64)
+            u_bits, v_bits, w_bits = self._bits  # type: ignore[misc]
+            if fed >= len(u_bits) or word[0] != u_bits[fed] \
+                    or word[1] != v_bits[fed] or word[2] != w_bits[fed]:
+                self._backing = None  # see _track
         wins_u = self._buffers["u"].feed(cell.u)
         wins_v = self._buffers["v"].feed(cell.v)
         wins_w = self._buffers["w"].feed(cell.w)
@@ -413,38 +439,35 @@ class ShiftBufferStage(Stage):
     def ff_fire_capacity(self, want: int) -> int:
         return fill_capacity(self._buffers["u"], want)
 
+    def _track(self, values: np.ndarray) -> None:
+        """Drop the backing for good unless ``values`` continue it.
+
+        ``values`` holds the (u, v, w) runs about to be fed, one row
+        each.  The backing stays only while every cell fed so far is the
+        block's, bitwise: after one off-block word (a word dropped or
+        corrupted upstream) the registers hold history the block cannot
+        reproduce, even where later input matches it again.
+        """
+        fed = self._buffers["u"].fed
+        for run, bits in zip(values.view(np.int64),
+                             self._bits):  # type: ignore[arg-type]
+            if not np.array_equal(run, bits[fed:fed + len(run)]):
+                self._backing = None
+                return
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
-        if self._backing is None:
-            return super().fire_bulk(count, inputs, cycle)
         if len(inputs.get("in", ())) != count:
             raise DataflowError(
                 f"shift stage {self.name!r}: batched window consumed "
                 f"{len(inputs.get('in', ()))} cells for {count} firings"
             )
-        # The input run must be the block's own cells, in streaming
-        # order, continuing exactly where the buffers stand — verify the
-        # alignment of every part before discarding item identity.
-        position = self._buffers["u"].fed
-        flat = {f: self._backing[f].reshape(-1) for f in ("u", "v", "w")}
-        for part in inputs["in"].parts():
-            if isinstance(part, CellBlockBulk):
-                if part.start != position:
-                    raise DataflowError(
-                        f"shift stage {self.name!r}: cell block starts at "
-                        f"{part.start}, buffers have consumed {position}"
-                    )
-            elif len(part):
-                cell = part.materialize()[0]
-                if (cell.u != flat["u"][position]
-                        or cell.v != flat["v"][position]
-                        or cell.w != flat["w"][position]):
-                    raise DataflowError(
-                        f"shift stage {self.name!r}: stream cell at "
-                        f"position {position} does not match the backing "
-                        f"block"
-                    )
-            position += len(part)
+        # Off-block input takes the exact per-firing loop, identical to
+        # scalar ticking, for the rest of the run.
+        if self._backing is not None:
+            self._track(_cell_runs(inputs["in"]))
+        if self._backing is None:
+            return super().fire_bulk(count, inputs, cycle)
         first = stop = 0
         for field in ("u", "v", "w"):
             first, stop = self._buffers[field].feed_bulk(

@@ -156,8 +156,14 @@ class AdvectionSession:
                 f"out_scale must be positive, got {out_scale}"
             )
         memory = self.memory_for(grid)
+        # The chunks take at most two shapes: price each shape once.
+        kernel_seconds: dict[Grid, float] = {}
         chunks = []
         for index, cg in enumerate(self._x_chunk_grids(grid)):
+            seconds = kernel_seconds.get(cg)
+            if seconds is None:
+                seconds = kernel_seconds[cg] = self._chunk_kernel_seconds(
+                    cg, memory)
             # Each X chunk re-reads a one-cell halo plane on each side.
             in_cells = (cg.nx + 2) * cg.ny * cg.nz
             chunks.append(ChunkWork(
@@ -165,7 +171,7 @@ class AdvectionSession:
                 in_bytes=self.config.in_bytes_per_cell * in_cells,
                 out_bytes=(self.config.out_bytes_per_cell * cg.num_cells
                            * out_scale),
-                kernel_seconds=self._chunk_kernel_seconds(cg, memory),
+                kernel_seconds=seconds,
             ))
         return chunks
 

@@ -160,6 +160,12 @@ class CostModel:
         #: GFLOPS axes re-scale by this ratio).
         self.flops_scale = flops_scale
         self._flops = round(grid_flops(grid) * flops_scale)
+        # Per-model memos: the device, grid and ``read_ii=1`` are fixed,
+        # so each value is a pure function of its key, and the space's
+        # distinct keys bound each dict.
+        self._lint_codes: dict[tuple[KernelConfig, int],
+                               tuple[str, ...]] = {}
+        self._cycles: dict[KernelConfig, tuple[int, int]] = {}
 
     # -- feasibility ---------------------------------------------------------
 
@@ -185,8 +191,12 @@ class CostModel:
     def lint_gate(self, point: TunePoint) -> tuple[str, ...]:
         """Error codes the linter raises for this point (empty = pass)."""
         config = point.config(self.grid)
-        report = lint_kernel(config, self.device, point.num_kernels)
-        codes = tuple(sorted({d.code for d in report.errors}))
+        key = (config, point.num_kernels)
+        codes = self._lint_codes.get(key)
+        if codes is None:
+            report = lint_kernel(config, self.device, point.num_kernels)
+            codes = self._lint_codes[key] = tuple(
+                sorted({d.code for d in report.errors}))
         if codes:
             return codes
         if point.precision != "float64":
@@ -227,7 +237,7 @@ class CostModel:
         usage = self.device.shell + self._resources(point).scaled(
             point.num_kernels)
         by_axis = usage.utilisation(self.device.capacity)
-        cycles = KernelCycleModel(config).cycles()
+        cycles, static_cycles = self._kernel_cycles(config)
         return Evaluation(
             point=point,
             feasible=True,
@@ -243,8 +253,17 @@ class CostModel:
             clock_mhz=invocation.clock_hz / 1e6,
             memory_bound=invocation.memory_bound,
             analytic_cycles=cycles,
-            static_cycles=static_kernel_cycles(config),
+            static_cycles=static_cycles,
         )
+
+    def _kernel_cycles(self, config: KernelConfig) -> tuple[int, int]:
+        """Analytic and statically proved cycles of one invocation."""
+        cycles = self._cycles.get(config)
+        if cycles is None:
+            cycles = self._cycles[config] = (
+                KernelCycleModel(config).cycles(),
+                static_kernel_cycles(config))
+        return cycles
 
     def describe(self) -> dict[str, Any]:
         """Context block for reports (device, grid, model constants)."""

@@ -1,5 +1,7 @@
 """Backend registry and ABC contract."""
 
+import importlib
+
 import pytest
 
 from repro.backend import (DEFAULT_BACKEND, Backend, BackendError,
@@ -54,9 +56,11 @@ class TestDeviceResolution:
 
 class TestDeprecatedProjectionAlias:
     def test_projection_importable_from_backend(self):
-        from repro.backend import AIEngineProjection as from_backend
-        from repro.hardware.versal import AIEngineProjection as legacy
+        from repro.backend import AIEngineProjection
+        from repro.backend.projection import AIEngineProjection as home
 
-        # One class, two import homes; repro.backend is canonical and
-        # repro.hardware.versal remains a deprecated alias.
-        assert from_backend is legacy
+        # One class, one import home: the deprecated
+        # repro.hardware.versal alias is gone.
+        assert AIEngineProjection is home
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.hardware.versal")
