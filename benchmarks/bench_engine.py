@@ -24,7 +24,12 @@ to detect the period).
 The multi-chunk leg runs an ``nx x 4ny x nz`` grid at chunk width
 ``ny`` (64x256x64 with chunk 64 by default, 32x128x32 with chunk 32
 under ``--smoke``): every chunk restarts the pipeline, so it measures
-the prime and ramp-down each chunk pays.  The diffusion leg streams one
+the prime and ramp-down each chunk pays.  The chunks of one call share
+an orbit memo, so only the first chunk ticks a plane to detect its
+steady period: the leg records every chunk's scalar cycles and fails
+(``--smoke`` included) when a later chunk ticks more than the first
+chunk's scalar cycles minus its detected period, read from the
+``batched x`` spans of an untimed traced run.  The diffusion leg streams one
 field through ``run_stencil_kernel`` with the scenario suite's
 diffusion ``WindowOp``.
 
@@ -87,6 +92,16 @@ def kernel_mismatches(leg, scalar, batched):
             errors.append(f"{leg}: {name} not bit-identical under batched "
                           f"exact")
     return errors
+
+
+def detected_period(config, fields):
+    """The longest period chunk 0 of an untimed traced run batched."""
+    tracer = Tracer()
+    result = simulate_kernel(config, fields, tracer=tracer)
+    first = result.chunk_stats[0].cycles
+    return max((span.args["period"] for span in tracer.spans_on("engine")
+                if span.name.startswith("batched x") and span.end <= first),
+               default=0)
 
 
 def run_diffusion(grid, block, **kwargs):
@@ -156,6 +171,9 @@ def main(argv=None) -> int:
                                             batched=False)
     multi_batched, t_multi_batched = run_once(multi_config, multi_fields,
                                               batched=True)
+    chunk_scalar = [run.cycles - run.batched_cycles
+                    for run in multi_batched.chunk_stats]
+    multi_period = detected_period(multi_config, multi_fields)
     diff_scalar, diff_s_stats, t_diff_scalar = run_diffusion(
         grid, fields.u, batched=False)
     diff_batched, diff_b_stats, t_diff_batched = run_diffusion(
@@ -246,7 +264,9 @@ def main(argv=None) -> int:
         extra={"batched": True,
                "batched_windows": agg_multi.batched_windows,
                "batched_cycles": agg_multi.batched_cycles,
-               "chunks": len(multi_batched.chunk_stats)})
+               "chunks": len(multi_batched.chunk_stats),
+               "chunk_scalar_cycles": chunk_scalar,
+               "detected_period": multi_period})
     best_batched = min(batched_times)
     best_resilient = min(resilient_times)
     overhead = (best_resilient / best_batched - 1.0 if best_batched > 0
@@ -303,6 +323,8 @@ def main(argv=None) -> int:
           f"{gain_multi:.2f}x ({agg_multi.batched_cycles}/"
           f"{multi_batched.total_cycles} cycles batched in "
           f"{agg_multi.batched_windows} windows)")
+    print(f"multi-chunk scalar cycles per chunk: {chunk_scalar} "
+          f"(detected period {multi_period})")
     print(f"diffusion batched exact speedup: {gain_diffusion:.2f}x "
           f"({diff_b_stats.batched_cycles}/{diff_b_stats.cycles} cycles "
           f"batched in {diff_b_stats.batched_windows} windows)")
@@ -319,6 +341,14 @@ def main(argv=None) -> int:
     if gain_multi < args.min_batched_speedup:
         print(f"FAIL: multi-chunk batched exact speedup {gain_multi:.2f}x "
               f"below the {args.min_batched_speedup:.1f}x floor",
+              file=sys.stderr)
+        failed = True
+    replanned = [index for index, scalar in enumerate(chunk_scalar)
+                 if index and scalar > chunk_scalar[0] - multi_period]
+    if replanned:
+        print(f"FAIL: multi-chunk chunks {replanned} re-ran the detection "
+              f"plane ({chunk_scalar} scalar cycles per chunk; later "
+              f"chunks must tick at most {chunk_scalar[0] - multi_period})",
               file=sys.stderr)
         failed = True
     if gain_diffusion < args.min_batched_speedup:

@@ -479,14 +479,8 @@ def _cmd_validate(args) -> int:
 
 def _print_batched_split(stats, total_cycles: int) -> None:
     """The ``batched:`` / ``fallback:`` lines of a simulate summary."""
-    if stats.batched_windows:
-        scalar = total_cycles - stats.batched_cycles
-        print(f"batched:  {stats.batched_cycles} cycles in "
-              f"{stats.batched_windows} windows "
-              f"({stats.batched_cycles / total_cycles:.1%} of "
-              f"the run), {scalar} scalar")
-    if stats.batch_fallback_reason:
-        print(f"fallback: {stats.batch_fallback_reason}")
+    for line in stats.split_lines(total_cycles):
+        print(line)
 
 
 def _cmd_simulate_scenario(args) -> int:

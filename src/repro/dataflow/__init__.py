@@ -19,13 +19,17 @@ implements exactly that abstraction:
   compiler behind the engine's default exact mode, which lowers a graph
   to topological levels and NumPy control-state vectors and advances
   proved-uniform windows (whole periods plus a recorded tail) per
-  Python-level step.
+  Python-level step, and
+* :class:`~repro.dataflow.orbits.OrbitMemo` — the call-scoped memo that
+  lets the runs of one call (the chunks of a chunked simulation) share
+  the steady-state orbits the engine commits.
 """
 
 from repro.dataflow.compiled import CompiledGraph, compile_graph
 from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import StreamProbe, ThroughputMonitor
+from repro.dataflow.orbits import OrbitMemo
 from repro.dataflow.stage import ConstStage, FunctionStage, SinkStage, SourceStage, Stage
 from repro.dataflow.stream import Stream
 
@@ -41,6 +45,7 @@ __all__ = [
     "RunStats",
     "CompiledGraph",
     "compile_graph",
+    "OrbitMemo",
     "StreamProbe",
     "ThroughputMonitor",
 ]

@@ -26,8 +26,10 @@ counters add the orbit's first-``k``-cycle deltas and every stage
 installs its recorded state at offset ``k``
 (:meth:`~repro.dataflow.stage.Stage.ff_commit`).  A tail stops before
 any stage spends its last unit of supply, so it always ends in a
-recorded state; the machine is fingerprinted once after it and a
-mismatch raises :class:`~repro.errors.DataflowError`.  Everything that
+recorded state; the machine is fingerprinted once after it (after
+every window of an orbit memoised by an earlier run, whole periods
+included — :mod:`repro.dataflow.orbits`) and a mismatch raises
+:class:`~repro.errors.DataflowError`.  Everything that
 could make a cycle *observable* is an **event** that bounds the window
 (whole periods and tail alike) instead of being skipped:
 
@@ -386,7 +388,7 @@ def period_deltas(order: list[Stage], streams: list[Stream],
 
 def _fit_supply(order: list[Stage], fires_per_period: np.ndarray,
                 offset_fires: np.ndarray | None, period: int,
-                cycles: int) -> int:
+                cycles: int) -> tuple[int, dict[int, int]]:
     """Longest window of at most ``cycles`` every stage's supply covers.
 
     Whole periods may spend a stage's last firing: the machine then
@@ -395,10 +397,14 @@ def _fit_supply(order: list[Stage], fires_per_period: np.ndarray,
     :meth:`~repro.dataflow.stage.Stage.ff_fire_capacity`, so it ends in
     a recorded orbit state.  ``offset_fires[j, i]`` (tail windows only)
     is stage ``i``'s firings in the first ``j`` cycles of the period.
+
+    Returns the window length and the capacity of every stage whose
+    supply binds (by index into ``order``).
     """
     n, k = divmod(cycles, period)
     whole = n
     tailed = cycles if offset_fires is not None else 0
+    binding: dict[int, int] = {}
     for i, stage in enumerate(order):
         fpp = int(fires_per_period[i])
         if not fpp:
@@ -407,6 +413,7 @@ def _fit_supply(order: list[Stage], fires_per_period: np.ndarray,
         have = stage.ff_fire_capacity(want + 1)
         if have > want:
             continue  # not binding, even for a tail
+        binding[i] = have
         whole = min(whole, have // fpp)
         if offset_fires is not None:
             # The longest tailed window firing at most have - 1 times.
@@ -417,13 +424,14 @@ def _fit_supply(order: list[Stage], fires_per_period: np.ndarray,
             j = int(np.searchsorted(offset_fires[:, i], rest,
                                     side="right")) - 1
             tailed = min(tailed, q * period + j)
-    return max(whole * period, tailed)
+    return max(whole * period, tailed), binding
 
 
 def execute_window(order: list[Stage], streams: list[Stream],
                    stream_index: dict[str, int], sig_cycle: int,
                    period: int, orbit: Sequence[tuple[tuple, tuple]],
-                   limit: int, calendar: EventCalendar) -> int:
+                   limit: int, calendar: EventCalendar, *,
+                   verify: bool = False) -> int:
     """Plan and execute one batched window: ``n`` periods plus a tail.
 
     ``orbit[j]`` is the recorded ``(signature, counter snapshot)`` of
@@ -447,16 +455,24 @@ def execute_window(order: list[Stage], streams: list[Stream],
     ``fill`` produced, so per-cycle ticking resumes on a state
     bit-identical to the scalar machine's.  After a tail the machine is
     fingerprinted once; a state other than ``orbit[k]`` raises
-    :class:`~repro.errors.DataflowError`.
+    :class:`~repro.errors.DataflowError`.  ``verify`` fingerprints it
+    after whole periods too; a stage that spent its last unit of supply
+    may then differ in its own signature (a capacity flag, a phase), the
+    stream occupancies and every other stage may not.
     """
     snapshot = orbit[0][1]
     d_stage, d_stream = period_deltas(order, streams, snapshot)
     if len(order) == 0 or int(d_stage[:, 0].sum()) == 0:
         return 0
+    # Cycles left before the run limit; none at the limit itself (a
+    # negative span would leave a tail of span % period cycles).
+    span = limit - sig_cycle - 1
+    if span < 1:
+        return 0
     push_rates = calendar.push_rates(d_stream, stream_index)
     tail = len(orbit) == period and calendar.plan is None
-    n, k = calendar.cap_window(sig_cycle, period, limit - sig_cycle - 1,
-                               push_rates, tail=tail)
+    n, k = calendar.cap_window(sig_cycle, period, span, push_rates,
+                               tail=tail)
     if n * period + k < 1:
         return 0
     offset_fires = None
@@ -464,8 +480,8 @@ def execute_window(order: list[Stage], streams: list[Stream],
         offset_fires = np.array([[c[0] for c in snap[0]] for _, snap in orbit],
                                 dtype=np.int64).reshape(period, len(order))
         offset_fires -= offset_fires[0]
-    skipped = _fit_supply(order, d_stage[:, 0], offset_fires, period,
-                          n * period + k)
+    skipped, binding = _fit_supply(order, d_stage[:, 0], offset_fires,
+                                   period, n * period + k)
     if skipped < 1:
         return -1
     n, k = divmod(skipped, period)
@@ -532,14 +548,18 @@ def execute_window(order: list[Stage], streams: list[Stream],
         stage.stats.ii_waits += int(ds[4])
         stage.stats.pipeline_full_stalls += int(ds[5])
     calendar.commit(n, push_rates)
-    if k:
+    if k or verify:
+        spent = () if k else [
+            i for i, have in binding.items()
+            if have == n * int(d_stage[i, 0])]
         landed, _veto = machine_signature(order, streams, target_cycle)
-        if landed != target_sig:
-            stray = ([stage.name for stage, want, got
-                      in zip(order, target_sig[0], landed[0]) if want != got]
-                     if landed is not None else [])
+        stray = ([stage.name for i, (stage, want, got)
+                  in enumerate(zip(order, target_sig[0], landed[0]))
+                  if want != got and i not in spent]
+                 if landed is not None else [])
+        if landed is None or stray or landed[1] != target_sig[1]:
             raise DataflowError(
-                f"batched window tail ended off its recorded orbit at "
+                f"batched window ended off its recorded orbit at "
                 f"cycle {target_cycle} ({k} cycles past {n} whole "
                 f"periods of {period}): stages {stray or 'none'} (or "
                 f"stream occupancies) differ from the recorded state"

@@ -43,8 +43,18 @@ step:
 On the kernel graphs the shift stages fingerprint their prime as one
 state, so the prime batches as one short-period window; what stays
 scalar is the pipeline fill before it, one plane of recurrence
-detection before the steady window, and the drain after the source's
-last cell.
+detection before the steady window — once per call and shape, see
+below — and the drain after the source's last cell.
+
+Orbits committed on a trail can be shared between the runs of one call
+through an :class:`~repro.dataflow.orbits.OrbitMemo` (``orbits=``): a
+run whose graph has the same control key and reaches any memoised
+fingerprint opens its window at once, with snapshots rebuilt from the
+memoised relative counters, so the chunks of a chunked simulation after
+the first skip their detection plane.  The machine is fingerprinted
+once after every memo window, and landing off the orbit raises
+:class:`~repro.errors.DataflowError`.  The memo is neither read nor
+written under an active fault plan.
 
 Windows are *event-aware*: monitor sample cycles, fault freeze
 boundaries and previewed FIFO fault strikes bound each window and are
@@ -75,6 +85,7 @@ from repro.dataflow.compiled import (EventCalendar, compile_graph,
                                      execute_window, machine_signature)
 from repro.dataflow.graph import DataflowGraph
 from repro.dataflow.monitors import Monitor
+from repro.dataflow.orbits import OrbitMemo, control_key
 from repro.dataflow.stage import Stage
 from repro.errors import DataflowError, FaultError, LintError, WatchdogTimeout
 
@@ -230,6 +241,20 @@ class RunStats:
             "batch_fallback_reason": self.batch_fallback_reason,
         }
 
+    def split_lines(self, total_cycles: int) -> list[str]:
+        """The ``batched:`` / ``fallback:`` lines of a run report over
+        ``total_cycles`` cycles (``repro simulate``, conformance)."""
+        lines = []
+        if self.batched_windows:
+            scalar = total_cycles - self.batched_cycles
+            lines.append(f"batched:  {self.batched_cycles} cycles in "
+                         f"{self.batched_windows} windows "
+                         f"({self.batched_cycles / total_cycles:.1%} of "
+                         f"the run), {scalar} scalar")
+        if self.batch_fallback_reason:
+            lines.append(f"fallback: {self.batch_fallback_reason}")
+        return lines
+
     def summary(self) -> str:
         """Human-readable multi-line run summary."""
         lines = [f"cycles: {self.cycles}"]
@@ -306,6 +331,12 @@ class DataflowEngine:
         gauges and a ``stage_throughput`` histogram — a once-per-run
         cost, so an attached registry (enabled or not) leaves the tick
         loop untouched.
+    orbits:
+        Optional :class:`~repro.dataflow.orbits.OrbitMemo` shared by the
+        runs of one call: orbits this run commits are stored under the
+        graph's control key, and a memoised fingerprint opens a window
+        without a detection plane (see module docstring).  ``None``
+        detects every period afresh.
     """
 
     def __init__(self, graph: DataflowGraph, *, max_cycles: int = 10_000_000,
@@ -314,7 +345,8 @@ class DataflowEngine:
                  lint: bool = False, watchdog: int | None = None,
                  fault_plan: "FaultPlan | None" = None,
                  tracer: "Tracer | None" = None,
-                 metrics: "MetricRegistry | None" = None) -> None:
+                 metrics: "MetricRegistry | None" = None,
+                 orbits: OrbitMemo | None = None) -> None:
         if max_cycles < 1:
             raise DataflowError(f"max_cycles must be >= 1, got {max_cycles}")
         if stall_grace is not None and stall_grace < 1:
@@ -335,6 +367,7 @@ class DataflowEngine:
         self.fault_plan = fault_plan
         self.tracer = tracer
         self.metrics = metrics
+        self.orbits = orbits
 
     def run(self) -> RunStats:
         """Simulate until quiescence and return run statistics."""
@@ -405,6 +438,15 @@ class DataflowEngine:
                         if stream.fault_hook is not None],
             )
             proven = compiled.period_hint
+        # Orbits memoised under this graph's control key, fingerprint ->
+        # (orbit, offset); None when no memo serves this run.  A fault
+        # plan perturbs counters mid-orbit, so it keeps the memo out.
+        memo: dict | None = None
+        memo_key: tuple | None = None
+        if batched and self.orbits is not None and not plan_active:
+            memo_key = control_key(order, self.graph.streams)
+            if memo_key is not None:
+                memo = self.orbits.table(memo_key)
         trail = _Trail()
         #: Armed probe under a known period: (signature, cycle, snapshot).
         probe: tuple[Any, int, tuple] | None = None
@@ -556,6 +598,17 @@ class DataflowEngine:
                                          self._ff_snapshot(order))
                         else:
                             hit = (cycle + 1 - len(orbit), orbit)
+                    # A memoised orbit (committed earlier in this call)
+                    # opens the window without a detection plane.
+                    from_memo = False
+                    if hit is None and memo:
+                        found = memo.get(sig)
+                        if found is not None:
+                            record, offset = found
+                            hit = (cycle + 1 - record.period,
+                                   record.replay(offset,
+                                                 self._ff_snapshot(order)))
+                            from_memo = True
                     if hit is None:
                         cycle += 1
                         continue
@@ -563,11 +616,20 @@ class DataflowEngine:
                     period = (cycle + 1) - first_cycle
                     fires_before = ({s.name: s.stats.fires for s in order}
                                     if trace_on else None)
+                    # A whole orbit found here is stored once its window
+                    # commits; its counters are read before they move.
+                    now = (self._ff_snapshot(order)
+                           if memo is not None and not from_memo
+                           and len(orbit) == period else None)
                     assert calendar is not None
                     skipped = execute_window(
                         order, streams, stream_index, cycle + 1, period,
-                        orbit, cap, calendar)
+                        orbit, cap, calendar, verify=from_memo)
                     if skipped > 0:
+                        if now is not None:
+                            assert self.orbits is not None \
+                                and memo_key is not None
+                            self.orbits.store(memo_key, orbit, now)
                         batched_windows += 1
                         batched_cycles += skipped
                         # Probe at the committed period from now on:
@@ -603,11 +665,13 @@ class DataflowEngine:
                         batched = False
                         trail.clear()
                         probe = None
-                    elif horizon is None:
+                    elif horizon is None and not from_memo:
                         # A parked zero-fire period, or an event due
                         # within one period: detection state stays
                         # valid, and the trail slides on so the next
-                        # hit finds its whole orbit.
+                        # hit finds its whole orbit.  (A deferred memo
+                        # hit leaves the trail as this cycle recorded
+                        # it.)
                         trail.slide(cycle + 1, sig,
                                     self._ff_snapshot(order))
             cycle += 1

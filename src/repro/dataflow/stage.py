@@ -293,6 +293,22 @@ class Stage:
         wait = self._next_fire_cycle - cycle
         return (wait if wait > 0 else 0, pipe)
 
+    def ff_control_key(self) -> tuple | None:
+        """Hashable key of the parameters that shape this stage's control.
+
+        Two stages of the same class, ``ii`` and ``latency`` with equal
+        keys must make the same control transitions from equal
+        :meth:`ff_signature` states — so the key covers every
+        constructor parameter that decides *when* or *how many* items
+        the stage consumes and produces (extents, radius, …), never
+        data.  The graph's control key
+        (:func:`repro.dataflow.orbits.control_key`) lets the runs of one
+        call share committed orbits.  ``None`` (the default) keeps the
+        graph out of that sharing; a subclass must define its own key,
+        it never inherits one.
+        """
+        return None
+
     def ff_fire_capacity(self, want: int) -> int:
         """How many of ``want`` firings this stage could still perform.
 
@@ -427,6 +443,10 @@ class SourceStage(Stage):
     def ff_signature(self, cycle: int) -> tuple | None:
         base = super().ff_signature(cycle)
         return base + (not self.exhausted(),) if base is not None else None
+
+    def ff_control_key(self) -> tuple:
+        # One item per firing; how many remain is supply, not control.
+        return ()
 
     def ff_fire_capacity(self, want: int) -> int:
         self._prefetch(want)

@@ -48,6 +48,7 @@ from repro.dataflow.bulk import (
 )
 from repro.dataflow.engine import DataflowEngine, RunStats
 from repro.dataflow.graph import DataflowGraph
+from repro.dataflow.orbits import OrbitMemo
 from repro.dataflow.stage import SourceStage, Stage
 from repro.errors import ConfigurationError, DataflowError, ShiftBufferError
 from repro.kernel.stages import AdvectResultBulk
@@ -230,6 +231,12 @@ class GeneralShiftBufferStage(Stage):
     def ff_signature(self, cycle: int) -> tuple:
         return super().ff_signature(cycle) + fill_signature(self.buffer)
 
+    def ff_control_key(self) -> tuple:
+        # Extents and radius fix the prime length, the plane period and
+        # which feeds emit.
+        buffer = self.buffer
+        return (buffer.nx, buffer.ny, buffer.nz, buffer.radius)
+
     def ff_fire_capacity(self, want: int) -> int:
         return fill_capacity(self.buffer, want)
 
@@ -316,6 +323,14 @@ class WindowComputeStage(Stage):
         self._op = op
         self._nz = nz
         self._radius = radius
+
+    def ff_control_key(self) -> tuple:
+        # A window's burst is closed-form in its centre height: nz, the
+        # radius and which boundary rules exist decide it, the rules'
+        # arithmetic does not.
+        op = self._op
+        return (self._nz, self._radius, op.bottom is not None,
+                op.top is not None)
 
     def _scalar(self, label: str, value: Any) -> Any:
         """One rule's value for one window, held to the shape contract."""
@@ -452,6 +467,9 @@ class ScatterWriteStage(Stage):
         self.cells_written += 1
         return {}
 
+    def ff_control_key(self) -> tuple:
+        return ()
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         bulk = inputs["in"]
@@ -480,7 +498,8 @@ def run_stencil_kernel(block: np.ndarray, op: WindowOp, out: np.ndarray, *,
                        fault_plan: "FaultPlan | None" = None,
                        watchdog: int | None = None,
                        tracer: "Tracer | None" = None,
-                       metrics: "MetricRegistry | None" = None) -> RunStats:
+                       metrics: "MetricRegistry | None" = None,
+                       orbits: OrbitMemo | None = None) -> RunStats:
     """Run one stencil kernel pass, cycle-accurately.
 
     Parameters
@@ -500,10 +519,10 @@ def run_stencil_kernel(block: np.ndarray, op: WindowOp, out: np.ndarray, *,
         the steady state in batched windows, bit-identical to
         ``batched=False`` (which keeps the real register machine,
         :meth:`~repro.shiftbuffer.general.GeneralShiftBuffer.feed`).
-    fault_plan, watchdog, tracer, metrics:
+    fault_plan, watchdog, tracer, metrics, orbits:
         Passed straight to the :class:`~repro.dataflow.engine.
         DataflowEngine` (FIFO word faults, stage freezes, cycle
-        watchdog, observability sinks).
+        watchdog, observability sinks, the call's orbit memo).
     """
     if block.ndim != 3:
         raise ConfigurationError(
@@ -534,4 +553,5 @@ def run_stencil_kernel(block: np.ndarray, op: WindowOp, out: np.ndarray, *,
     graph.connect(compute, "out", write, "in", depth=stream_depth)
     return DataflowEngine(graph, max_cycles=max_cycles, batched=batched,
                           fault_plan=fault_plan, watchdog=watchdog,
-                          tracer=tracer, metrics=metrics).run()
+                          tracer=tracer, metrics=metrics,
+                          orbits=orbits).run()

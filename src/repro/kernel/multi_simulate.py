@@ -26,6 +26,7 @@ from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.core.grid import GridDecomposition
 from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.orbits import OrbitMemo
 from repro.dataflow.graph import DataflowGraph
 from repro.errors import (
     ConfigurationError,
@@ -267,6 +268,9 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
     chunk_retries = 0
     fallback_reasons: list[str] = []
     trace_on = tracer is not None and tracer.enabled
+    # One orbit memo per call (see simulate_kernel).  The arbitrated
+    # read stage declares no control key, so these graphs never share.
+    orbits = OrbitMemo()
     # A heavily starved arbiter can stall every read stage for
     # ~kernels/rate cycles between grants; widen the engine's
     # deadlock grace accordingly.
@@ -300,7 +304,7 @@ def simulate_multi_kernel(config: KernelConfig, fields: FieldSet,
                 graph, max_cycles=max_cycles_per_chunk,
                 stall_grace=grace, batched=batched,
                 fault_plan=fault_plan, watchdog=watchdog,
-                tracer=tracer, metrics=metrics,
+                tracer=tracer, metrics=metrics, orbits=orbits,
             )
             try:
                 if trace_on:

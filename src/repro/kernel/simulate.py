@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.coefficients import AdvectionCoefficients
 from repro.core.fields import FieldSet, SourceSet
 from repro.dataflow.engine import DataflowEngine, RunStats
+from repro.dataflow.orbits import OrbitMemo
 from repro.errors import DataflowError, FaultError, RetryExhaustedError
 from repro.kernel.builder import build_advection_graph
 from repro.kernel.config import KernelConfig
@@ -131,7 +132,10 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     -----
     The kernel processes chunks back to back; each chunk refills the
     pipeline, which is exactly the per-chunk overhead the closed-form
-    cycle model charges.
+    cycle model charges.  The chunks and retries of one call share an
+    :class:`~repro.dataflow.orbits.OrbitMemo`, so only the first chunk
+    of each shape ticks a plane to detect its steady period; the memo
+    dies with the call, so every result is a function of its arguments.
     """
     grid = config.grid
     if fields.grid.interior_shape != grid.interior_shape:
@@ -154,6 +158,7 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
     total_cycles = 0
     chunk_retries = 0
     trace_on = tracer is not None and tracer.enabled
+    orbits = OrbitMemo()
 
     plan = config.chunk_plan()
     for chunk in plan.chunks:
@@ -175,8 +180,9 @@ def simulate_kernel(config: KernelConfig, fields: FieldSet,
                 tracker=tracker,
             )
             engine = DataflowEngine(
-                graph, max_cycles=max_cycles_per_chunk, batched=batched, fault_plan=fault_plan, watchdog=watchdog,
-                tracer=tracer, metrics=metrics,
+                graph, max_cycles=max_cycles_per_chunk, batched=batched,
+                fault_plan=fault_plan, watchdog=watchdog, tracer=tracer,
+                metrics=metrics, orbits=orbits,
             )
             try:
                 if trace_on:

@@ -261,6 +261,10 @@ class ReadDataStage(SourceStage):
         return base + (self._cursor < self._total,) if base is not None \
             else None
 
+    def ff_control_key(self) -> tuple:
+        # One cell per firing from the block or the iterator alike.
+        return ()
+
     def ff_fire_capacity(self, want: int) -> int:
         if self._flats is None:
             return super().ff_fire_capacity(want)
@@ -436,6 +440,12 @@ class ShiftBufferStage(Stage):
         return super().ff_signature(cycle) + fill_signature(
             self._buffers["u"])
 
+    def ff_control_key(self) -> tuple:
+        # The extents fix the prime length, the plane period and where
+        # column tops burst; partitioning fixes the port schedule.
+        buffer = self._buffers["u"]
+        return (buffer.nx, buffer.ny, buffer.nz, buffer.partitioned)
+
     def ff_fire_capacity(self, want: int) -> int:
         return fill_capacity(self._buffers["u"], want)
 
@@ -501,6 +511,9 @@ class ReplicateStage(Stage):
         (bundle,) = inputs["in"]
         return {"u": [bundle], "v": [bundle], "w": [bundle]}
 
+    def ff_control_key(self) -> tuple:
+        return ()
+
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
         bulk = inputs["in"]
@@ -551,6 +564,10 @@ class AdvectStage(Stage):
         k = bundle.center[2]
         value = self._fn(bundle.u, bundle.v, bundle.w, self.coeffs, k, self.nz)
         return {"out": [(bundle.center, value)]}
+
+    def ff_control_key(self) -> tuple:
+        # One result per bundle, whatever the field or height.
+        return ()
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:
@@ -616,6 +633,9 @@ class WriteDataStage(Stage):
             ] = value
         self.cells_written += 1
         return {}
+
+    def ff_control_key(self) -> tuple:
+        return ()
 
     def fire_bulk(self, count: int, inputs: dict[str, Bulk],
                   cycle: int) -> FireBulkResult:

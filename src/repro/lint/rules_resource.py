@@ -6,6 +6,9 @@ count must fit alongside the shell under the routable fraction (the
 paper's scaling limits — six kernels on the U280, five on the Stratix 10 —
 are regression fixtures for exactly this rule), a single kernel must fit
 at all, and the resident data set must fit some on-board memory.
+
+RS201, RS202 and RS203 all read how many kernels fit; the fit is
+computed once per lint pass and shared through ``context.extras``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,18 @@ from typing import Iterable
 from repro.hardware.resources import ROUTABLE_FRACTION, ResourceVector
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.lint.registry import LintContext, rule
+
+_FIT_KEY = "rs_max_kernels"
+
+
+def _fit(context: LintContext) -> int:
+    """``device.max_kernels(config)``, once per lint pass."""
+    if _FIT_KEY not in context.extras:
+        device, config = context.device, context.config
+        assert device is not None and config is not None
+        context.extras[_FIT_KEY] = device.max_kernels(config)
+    fit: int = context.extras[_FIT_KEY]
+    return fit
 
 
 def _over_budget_axes(need: ResourceVector, have: ResourceVector,
@@ -45,7 +60,7 @@ def check_kernel_count(context: LintContext) -> Iterable[Diagnostic]:
     if over:
         worst = max(over, key=lambda a: a[1] / a[2] if a[2] else float("inf"))
         axis, needed, budget = worst
-        fit = device.max_kernels(config)
+        fit = _fit(context)
         yield Diagnostic(
             code="RS201", severity=Severity.ERROR,
             message=(
@@ -67,7 +82,7 @@ def check_kernel_count(context: LintContext) -> Iterable[Diagnostic]:
 def report_placement(context: LintContext) -> Iterable[Diagnostic]:
     config, device = context.config, context.device
     assert config is not None and device is not None
-    fit = device.max_kernels(config)
+    fit = _fit(context)
     if fit == 0:
         return  # RS203 reports the failure
     kernel = device.kernel_resources(config)
@@ -95,7 +110,7 @@ def report_placement(context: LintContext) -> Iterable[Diagnostic]:
 def check_single_kernel(context: LintContext) -> Iterable[Diagnostic]:
     config, device = context.config, context.device
     assert config is not None and device is not None
-    if device.max_kernels(config) > 0:
+    if _fit(context) > 0:
         return
     total = device.shell + device.kernel_resources(config)
     over = _over_budget_axes(total, device.capacity)

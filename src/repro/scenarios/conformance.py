@@ -31,6 +31,9 @@ Per scenario, five checks run on the grid family's small shape:
 ``analyze``
     The static verifier proves the graph deadlock-free at the ideal
     steady-state rate.
+
+Each entry also reports the batched run's batched/scalar split and its
+fallback reason (if any), in the wording of ``repro simulate``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 
 from repro.core.fields import SOURCE_NAMES, SourceSet
 from repro.core.grid import Grid
+from repro.dataflow.engine import RunStats
 from repro.errors import ReproError
 from repro.scenarios.base import Scenario, ScenarioResult
 
@@ -85,18 +89,31 @@ class ScenarioConformance:
     scenario: str
     grid: Grid
     results: list[CheckResult] = field(default_factory=list)
+    #: The batched run's merged stats and total cycles.
+    stats: RunStats | None = None
+    total_cycles: int = 0
 
     @property
     def ok(self) -> bool:
         return all(result.ok for result in self.results)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        payload: dict[str, Any] = {
             "scenario": self.scenario,
             "grid": [self.grid.nx, self.grid.ny, self.grid.nz],
             "ok": self.ok,
             "checks": [result.to_dict() for result in self.results],
         }
+        if self.stats is not None:
+            payload["batched_split"] = {
+                "cycles": self.total_cycles,
+                "batched_cycles": self.stats.batched_cycles,
+                "batched_windows": self.stats.batched_windows,
+                "scalar_cycles": (self.total_cycles
+                                  - self.stats.batched_cycles),
+                "batch_fallback_reason": self.stats.batch_fallback_reason,
+            }
+        return payload
 
 
 @dataclass
@@ -121,6 +138,9 @@ class ConformanceReport:
                 f"{result.check}={'ok' if result.ok else 'FAIL'}"
                 for result in entry.results)
             lines.append(f"{entry.scenario:>20}  [{verdict}]  {checks}")
+            if entry.stats is not None:
+                lines.extend(f"{'':>22}  {line}" for line
+                             in entry.stats.split_lines(entry.total_cycles))
             for result in entry.results:
                 if not result.ok:
                     lines.append(f"{'':>22}  {result.check}: "
@@ -184,6 +204,7 @@ def run_conformance(scenario: Scenario, *, grid: Grid | None = None,
            "forced-scalar output differs from the NumPy reference")
 
     batched = scenario.run(grid, seed=seed, batched=True)
+    entry.stats, entry.total_cycles = batched.stats, batched.total_cycles
     problems = []
     if not _batches_identical(scalar, batched):
         problems.append("outputs differ")

@@ -172,3 +172,34 @@ def test_state_a_stage_cannot_install_raises():
     DataflowEngine(_duty_graph(), batched=False, monitors=probe()).run()
     with pytest.raises(DataflowError, match="recorded orbit.*'duty'"):
         DataflowEngine(_duty_graph(), monitors=probe()).run()
+
+
+def test_a_hit_at_the_cycle_limit_runs_no_window():
+    """A recurrence found on the last cycle before ``max_cycles`` opens
+    no window: the run stops where the scalar run stops, with the same
+    firings, instead of running a tail past the limit."""
+    from repro.core.coefficients import AdvectionCoefficients
+    from repro.core.fields import SourceSet
+    from repro.kernel.builder import build_advection_graph
+
+    grid = Grid(nx=4, ny=10, nz=4)
+    config = KernelConfig(grid=grid, chunk_width=5)
+    fields = random_wind(grid, seed=0, magnitude=2.0)
+    chunk = config.chunk_plan().chunks[0]
+    tracer = Tracer()
+    DataflowEngine(build_advection_graph(
+        config, fields, chunk, AdvectionCoefficients.uniform(grid),
+        SourceSet.zeros(grid)), tracer=tracer).run()
+    # The steady-state trail hit: limit the run to end right there.
+    hit = max(span.start for span in tracer.spans_on("engine")
+              if span.name.startswith("batched x"))
+    fires = {}
+    for batched in (True, False):
+        graph = build_advection_graph(
+            config, fields, chunk, AdvectionCoefficients.uniform(grid),
+            SourceSet.zeros(grid))
+        with pytest.raises(DataflowError, match="did not quiesce"):
+            DataflowEngine(graph, batched=batched, max_cycles=hit).run()
+        fires[batched] = {stage.name: stage.stats.fires
+                          for stage in graph.stages}
+    assert fires[True] == fires[False]

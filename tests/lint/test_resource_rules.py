@@ -74,3 +74,27 @@ class TestMemoryCapacity:
         report = lint_kernel(big, device)
         assert "RS204" in report.codes
         assert not report.ok
+
+
+class TestFitOncePerPass:
+    """RS201, RS202 and RS203 share one ``max_kernels`` per lint pass."""
+
+    @pytest.mark.parametrize("device,kernels", [
+        (ALVEO_U280, 6),
+        (ALVEO_U280, 7),
+        (STRATIX10_GX2800, 6),
+    ])
+    def test_one_max_kernels_call_per_pass(self, monkeypatch, device,
+                                           kernels):
+        before = lint_kernel(PAPER_CONFIG, device, kernels).render_text()
+        calls = []
+        original = type(device).max_kernels
+
+        def counting(self, config):
+            calls.append(config)
+            return original(self, config)
+
+        monkeypatch.setattr(type(device), "max_kernels", counting)
+        report = lint_kernel(PAPER_CONFIG, device, kernels)
+        assert len(calls) == 1
+        assert report.render_text() == before

@@ -43,6 +43,25 @@ class TestHarnessMechanics:
         text = report.render_text()
         assert "1/1 scenarios" in text
 
+    def test_report_carries_the_batched_split(self):
+        """Text and JSON name each kernel's batched/scalar split, in the
+        wording ``repro simulate --scenario`` prints."""
+        report = run_suite(("buoyancy",))
+        entry = report.entries[0]
+        result = get("buoyancy").run(entry.grid)
+        split = report.to_dict()["scenarios"][0]["batched_split"]
+        assert split == {
+            "cycles": result.total_cycles,
+            "batched_cycles": result.stats.batched_cycles,
+            "batched_windows": result.stats.batched_windows,
+            "scalar_cycles": (result.total_cycles
+                              - result.stats.batched_cycles),
+            "batch_fallback_reason": None,
+        }
+        (line,) = result.stats.split_lines(result.total_cycles)
+        assert line.startswith("batched:  ")
+        assert line in report.render_text()
+
     def test_failures_render_with_detail(self):
         report = run_suite(("buoyancy",))
         entry = report.entries[0]
